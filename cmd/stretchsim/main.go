@@ -50,6 +50,22 @@ import (
 	"stretch/internal/fleet"
 )
 
+// parseFlags parses args into fs and exits non-zero on a leftover
+// positional argument: the flag parser stops at the first non-flag, so
+// every flag after a stray argument would otherwise be dropped silently.
+func parseFlags(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if fs.NArg() == 0 {
+		return
+	}
+	prefix := "stretchsim: "
+	if fs != flag.CommandLine {
+		prefix += fs.Name() + ": "
+	}
+	fmt.Fprintf(os.Stderr, "%sunexpected argument %q (flags must come before any other argument)\n", prefix, fs.Arg(0))
+	os.Exit(2)
+}
+
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "synth" {
 		runSynth(os.Args[2:])
@@ -94,7 +110,7 @@ func main() {
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file before exiting")
 	)
-	flag.Parse()
+	parseFlags(flag.CommandLine, os.Args[1:])
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

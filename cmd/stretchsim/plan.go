@@ -111,7 +111,7 @@ func runPlan(args []string) {
 	fs.IntVar(&p.workers, "fleet-workers", 0, "goroutine pool size (0 = GOMAXPROCS)")
 	fs.Float64Var(&p.bSpeedup, "b-speedup", 0.13, "measured B-mode batch speedup")
 	fs.Float64Var(&p.lsSlowdown, "ls-slowdown", 0.07, "measured B-mode LS slowdown")
-	fs.Parse(args)
+	parseFlags(fs, args)
 
 	if p.trace == "" {
 		fmt.Fprintln(os.Stderr, "stretchsim: plan: -trace is required")

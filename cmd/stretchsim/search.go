@@ -143,7 +143,7 @@ func runSearch(args []string) {
 	fs.IntVar(&p.workers, "fleet-workers", 0, "goroutine pool size per run (0 = GOMAXPROCS)")
 	fs.Float64Var(&p.bSpeedup, "b-speedup", 0.13, "measured B-mode batch speedup")
 	fs.Float64Var(&p.lsSlowdown, "ls-slowdown", 0.07, "measured B-mode LS slowdown")
-	fs.Parse(args)
+	parseFlags(fs, args)
 
 	weights, err := fleet.ParseFitnessWeights(p.weights)
 	if err != nil {

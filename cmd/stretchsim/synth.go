@@ -153,7 +153,7 @@ func runSynth(args []string) {
 	fs.StringVar(&p.events, "events", "", "scenario annotations to embed, e.g. \"drain:24:0,surge:30-40:video:1.8\" (failover spec has a built-in default)")
 	fs.StringVar(&p.format, "format", "csv", "output format (csv|jsonl)")
 	fs.StringVar(&p.out, "o", "", "output path (empty writes to stdout)")
-	fs.Parse(args)
+	parseFlags(fs, args)
 
 	t, err := buildSynthTrace(p)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stretch/internal/branch"
 	"stretch/internal/cache"
@@ -58,10 +59,64 @@ type fetched struct {
 	prevDone int64
 }
 
+// fetchQueue is the fetch-to-dispatch buffer: a fixed power-of-two ring
+// deque. Fetch pushes at the back and dispatch pops the front; squashes
+// push the replayed µops back onto the front, youngest first. A squash
+// conserves ROB plus buffer occupancy and fetch only pushes below
+// FetchBufEntries, so a ring of ROBEntries+FetchBufEntries never overflows.
+type fetchQueue struct {
+	ring    []fetched
+	head, n int
+}
+
+func newFetchQueue(size int) fetchQueue {
+	return fetchQueue{ring: make([]fetched, 1<<bits.Len(uint(size-1)))}
+}
+
+func (q *fetchQueue) front() *fetched { return &q.ring[q.head] }
+
+func (q *fetchQueue) popFront() fetched {
+	f := q.ring[q.head]
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return f
+}
+
+func (q *fetchQueue) pushBack(f fetched) {
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = f
+	q.n++
+}
+
+func (q *fetchQueue) pushFront(f fetched) {
+	q.head = (q.head - 1) & (len(q.ring) - 1)
+	q.ring[q.head] = f
+	q.n++
+}
+
 type robEnt struct {
 	doneAt int64
 	isMem  bool
 	f      fetched // retained for squash-and-replay on mode switches
+}
+
+// stallCounters are a thread's stall diagnostics. Every counter grows by
+// at most one per cycle, so a run of identical idle cycles charges each
+// counter its per-cycle amount times the run's length.
+type stallCounters struct {
+	fetchBlocked uint64 // fetch blocked: I-miss, mispredict recovery, flush
+	branchRec    uint64 // cycles spent on the wrong path
+	robFull      uint64 // dispatch blocked on ROB limit
+	lsqFull      uint64 // dispatch blocked on LSQ limit
+	emptyFB      uint64 // dispatch found empty fetch buffer
+}
+
+// repeat charges n more cycles at the per-cycle rate s gained since before.
+func (s *stallCounters) repeat(before stallCounters, n uint64) {
+	s.fetchBlocked += (s.fetchBlocked - before.fetchBlocked) * n
+	s.branchRec += (s.branchRec - before.branchRec) * n
+	s.robFull += (s.robFull - before.robFull) * n
+	s.lsqFull += (s.lsqFull - before.lsqFull) * n
+	s.emptyFB += (s.emptyFB - before.emptyFB) * n
 }
 
 type missEvent struct {
@@ -79,7 +134,7 @@ type thread struct {
 
 	histDone [histSize]int64
 
-	fetchBuf             []fetched // FIFO
+	fetchBuf             fetchQueue
 	fetchBlockedUntil    int64
 	dispatchBlockedUntil int64 // pipeline-flush refill (mode switches)
 	lastFetchBlock       uint64
@@ -112,12 +167,7 @@ type thread struct {
 	iAccesses, iMisses    uint64
 	missEvents            []missEvent
 
-	// stall accounting (cycles; diagnostic)
-	stallFetchBlocked uint64 // fetch blocked: I-miss, mispredict recovery, flush
-	stallBranchRec    uint64 // subset of stallFetchBlocked: mispredict recovery
-	stallROBFull      uint64 // dispatch blocked on ROB limit
-	stallLSQFull      uint64 // dispatch blocked on LSQ limit
-	stallEmptyFB      uint64 // dispatch found empty fetch buffer
+	stall stallCounters
 }
 
 // Core is one simulated SMT core instance.
@@ -186,7 +236,7 @@ func New(cfg Config, streams ...Stream) (*Core, error) {
 		t := &thread{
 			id:       i,
 			src:      s,
-			fetchBuf: make([]fetched, 0, cfg.FetchBufEntries),
+			fetchBuf: newFetchQueue(cfg.ROBEntries + cfg.FetchBufEntries),
 			rob:      make([]robEnt, cfg.ROBEntries),
 			mshr:     cache.NewMSHRs(cfg.MSHRPerThread),
 		}
@@ -244,8 +294,7 @@ func (c *Core) SetPartition(rob0 int) error {
 // persist, as after a real flush) and fetch pays the flush penalty.
 func (c *Core) squash(t *thread) {
 	if t.robOcc > 0 {
-		replay := make([]fetched, 0, t.robOcc+len(t.fetchBuf))
-		for i := 0; i < t.robOcc; i++ {
+		for i := t.robOcc - 1; i >= 0; i-- {
 			f := t.rob[(t.robHead+i)%len(t.rob)].f
 			if t.wrongPath && i >= t.wpOlder {
 				// Wrong-path junk: its timing is discarded (as in
@@ -253,10 +302,8 @@ func (c *Core) squash(t *thread) {
 				// keeps its schedule so a flush is never a net win.
 				f.prevDone = 0
 			}
-			replay = append(replay, f)
+			t.fetchBuf.pushFront(f)
 		}
-		replay = append(replay, t.fetchBuf...)
-		t.fetchBuf = replay
 		t.robOcc, t.robHead, t.lsqOcc = 0, 0, 0
 	}
 	t.wrongPath = false
@@ -299,26 +346,83 @@ func (c *Core) reserveFU(cl isa.FUClass, ready int64) int64 {
 	return t
 }
 
-// step advances the core one cycle: commit, dispatch, fetch.
-func (c *Core) step() {
+// step advances the core one cycle: commit, dispatch, fetch. It reports
+// whether the cycle changed pipeline state; a cycle that did not only
+// charged stall counters and recycled its FU slot.
+func (c *Core) step() bool {
 	// Recycle the FU reservation slot that now refers to a future cycle.
 	idx := (c.cycle + fuRingSize - 1) & (fuRingSize - 1)
 	for cl := range c.fuUse {
 		c.fuUse[cl][idx] = 0
 	}
 
+	busy := false
 	for _, t := range c.threads {
-		c.resolveWrongPath(t)
+		busy = c.resolveWrongPath(t) || busy
 		if t.wrongPath {
-			t.stallBranchRec++ // cycles spent on the wrong path
+			t.stall.branchRec++
 		}
 	}
-	c.commit()
+	busy = c.commit() || busy
 
 	order := c.priorityOrder()
-	c.dispatch(order)
-	c.fetch(order)
+	busy = c.dispatch(order) || busy
+	busy = c.fetch(order) || busy
 	c.cycle++
+	return busy
+}
+
+// skipIdle follows a cycle that changed no pipeline state. Until the next
+// event — a ROB head completing, a wrong path resolving, fetch or dispatch
+// unblocking, the 1:M fetch owner changing, or end — every cycle repeats
+// it exactly, so skipIdle jumps there in one move: it charges each stall
+// counter the idle cycle's increment (since before) per skipped cycle and
+// recycles the skipped cycles' FU slots.
+func (c *Core) skipIdle(end int64, before *[2]stallCounters) {
+	to := min(end, c.cycle+fuRingSize-1) // one lap of FU slots at most
+	next := func(at int64) {
+		if at >= c.cycle && at < to {
+			to = at
+		}
+	}
+	for _, t := range c.threads {
+		if t.robOcc > 0 {
+			next(t.rob[t.robHead].doneAt)
+		}
+		if t.wrongPath {
+			next(t.wpResolveAt)
+		}
+		next(t.fetchBlockedUntil)
+		next(t.dispatchBlockedUntil)
+	}
+	if m := int64(c.cfg.FetchThrottle); m > 1 && c.nthreads == 2 {
+		// The fetch owner is the one gate an idle cycle reads from the
+		// cycle number: end the span where ownership changes.
+		idle := c.cycle - 1
+		if idle%(m+1) == 0 {
+			next(c.cycle)
+		} else {
+			next(idle - idle%(m+1) + m + 1)
+		}
+	}
+	n := to - c.cycle
+	if n <= 0 {
+		return
+	}
+	for i, t := range c.threads {
+		t.stall.repeat(before[i], uint64(n))
+	}
+	lo := (c.cycle + fuRingSize - 1) & (fuRingSize - 1)
+	for cl := range c.fuUse {
+		u := c.fuUse[cl]
+		if hi := lo + n; hi <= fuRingSize {
+			clear(u[lo:hi])
+		} else {
+			clear(u[lo:])
+			clear(u[:hi-fuRingSize])
+		}
+	}
+	c.cycle = to
 }
 
 // priorityOrder returns thread indices in ICOUNT order (fewest in-flight
@@ -327,16 +431,17 @@ func (c *Core) priorityOrder() [2]int {
 	if c.nthreads == 1 {
 		return [2]int{0, 0}
 	}
-	i0 := c.threads[0].robOcc + len(c.threads[0].fetchBuf)
-	i1 := c.threads[1].robOcc + len(c.threads[1].fetchBuf)
+	i0 := c.threads[0].robOcc + c.threads[0].fetchBuf.n
+	i1 := c.threads[1].robOcc + c.threads[1].fetchBuf.n
 	if i1 < i0 {
 		return [2]int{1, 0}
 	}
 	return [2]int{0, 1}
 }
 
-// commit retires completed µops in order, round-robin across threads.
-func (c *Core) commit() {
+// commit retires completed µops in order, round-robin across threads. It
+// reports whether any µop retired.
+func (c *Core) commit() bool {
 	slots := c.cfg.Width
 	first := int(c.cycle) & 1
 	if c.nthreads == 1 {
@@ -361,6 +466,7 @@ func (c *Core) commit() {
 			slots--
 		}
 	}
+	return slots < c.cfg.Width
 }
 
 // poolOcc returns total ROB and LSQ occupancy (dynamic-sharing check).
@@ -373,26 +479,25 @@ func (c *Core) poolOcc() (rob, lsq int) {
 }
 
 // dispatch moves µops from fetch buffers into the windows and schedules
-// their execution.
-func (c *Core) dispatch(order [2]int) {
+// their execution. It reports whether any µop dispatched.
+func (c *Core) dispatch(order [2]int) bool {
 	slots := c.cfg.Width
 	for i := 0; i < c.nthreads && slots > 0; i++ {
 		t := c.threads[order[i]]
 		if c.cycle < t.dispatchBlockedUntil {
 			continue // refilling the front of the pipe after a flush
 		}
-		if len(t.fetchBuf) == 0 {
-			t.stallEmptyFB++
+		if t.fetchBuf.n == 0 {
+			t.stall.emptyFB++
 		}
-		for slots > 0 && len(t.fetchBuf) > 0 {
-			f := t.fetchBuf[0]
-			isMem := f.op.Kind.IsMem()
+		for slots > 0 && t.fetchBuf.n > 0 {
+			isMem := t.fetchBuf.front().op.Kind.IsMem()
 			if t.robOcc >= t.robLimit {
-				t.stallROBFull++
+				t.stall.robFull++
 				break
 			}
 			if isMem && t.lsqOcc >= t.lsqLim {
-				t.stallLSQFull++
+				t.stall.lsqFull++
 				break
 			}
 			if c.cfg.ROBPolicy == ROBDynamic {
@@ -401,12 +506,11 @@ func (c *Core) dispatch(order [2]int) {
 					break
 				}
 			}
-			copy(t.fetchBuf, t.fetchBuf[1:])
-			t.fetchBuf = t.fetchBuf[:len(t.fetchBuf)-1]
-			c.schedule(t, f)
+			c.schedule(t, t.fetchBuf.popFront())
 			slots--
 		}
 	}
+	return slots < c.cfg.Width
 }
 
 // schedule computes the µop's completion time and inserts it into the ROB.
@@ -462,33 +566,29 @@ func (c *Core) schedule(t *thread, f fetched) {
 
 // resolveWrongPath squashes everything younger than the faulting branch
 // once it resolves: the junk µops return to the fetch buffer for replay as
-// the correct path, and fetch pays the flush/redirect penalty.
-func (c *Core) resolveWrongPath(t *thread) {
+// the correct path, and fetch pays the flush/redirect penalty. It reports
+// whether the branch resolved this cycle.
+func (c *Core) resolveWrongPath(t *thread) bool {
 	if !t.wrongPath || c.cycle < t.wpResolveAt {
-		return
+		return false
 	}
-	young := t.robOcc - t.wpOlder
-	if young > 0 {
-		replay := make([]fetched, 0, young+len(t.fetchBuf))
-		for i := t.wpOlder; i < t.robOcc; i++ {
-			e := &t.rob[(t.robHead+i)%len(t.rob)]
-			f := e.f
-			// The junk execution's timing is discarded: the correct
-			// path re-executes from scratch after the redirect.
-			f.prevDone = 0
-			replay = append(replay, f)
-			if e.isMem {
-				t.lsqOcc--
-			}
+	for i := t.robOcc - 1; i >= t.wpOlder; i-- {
+		e := &t.rob[(t.robHead+i)%len(t.rob)]
+		f := e.f
+		// The junk execution's timing is discarded: the correct path
+		// re-executes from scratch after the redirect.
+		f.prevDone = 0
+		t.fetchBuf.pushFront(f)
+		if e.isMem {
+			t.lsqOcc--
 		}
-		replay = append(replay, t.fetchBuf...)
-		t.fetchBuf = replay
-		t.robOcc = t.wpOlder
 	}
+	t.robOcc = t.wpOlder
 	t.wrongPath = false
 	if u := c.cycle + int64(c.cfg.FlushCycles); u > t.fetchBlockedUntil {
 		t.fetchBlockedUntil = u
 	}
+	return true
 }
 
 // loadDone models the D-side hierarchy and returns the load's completion
@@ -567,10 +667,13 @@ func (c *Core) storeAccess(t *thread, op *isa.MicroOp, issue int64) {
 	_ = issue
 }
 
-// fetch pulls µops from the traces into the fetch buffers.
-func (c *Core) fetch(order [2]int) {
+// fetch pulls µops from the traces into the fetch buffers. It reports
+// whether any thread got to fetch: an attempt changes state even when an
+// I-cache miss stops it before the first µop.
+func (c *Core) fetch(order [2]int) bool {
 	slots := c.cfg.Width
 	throttleM := c.cfg.FetchThrottle
+	busy := false
 	for i := 0; i < c.nthreads && slots > 0; i++ {
 		tid := order[i]
 		if throttleM > 1 && c.nthreads == 2 {
@@ -583,25 +686,32 @@ func (c *Core) fetch(order [2]int) {
 				continue
 			}
 		}
-		n := c.fetchThread(c.threads[tid], slots)
+		t := c.threads[tid]
+		if c.cycle < t.fetchBlockedUntil {
+			t.stall.fetchBlocked++
+			continue
+		}
+		if t.fetchBuf.n >= c.cfg.FetchBufEntries {
+			continue
+		}
+		busy = true
+		n := c.fetchThread(t, slots)
 		slots -= n
 		if n > 0 && c.cfg.StrictICount {
 			break // pure ICOUNT: one thread owns the cycle's fetch
 		}
 	}
+	return busy
 }
 
-// fetchThread fetches up to max µops for t this cycle, honouring the
-// block/branch structural limits. It returns the number fetched.
+// fetchThread fetches up to max µops for an unblocked t with buffer room
+// this cycle, honouring the block/branch structural limits. It returns
+// the number fetched.
 func (c *Core) fetchThread(t *thread, max int) int {
-	if c.cycle < t.fetchBlockedUntil {
-		t.stallFetchBlocked++
-		return 0
-	}
 	n := 0
 	blocks := 0
 	curBlock := t.lastFetchBlock
-	for n < max && len(t.fetchBuf) < c.cfg.FetchBufEntries {
+	for n < max && t.fetchBuf.n < c.cfg.FetchBufEntries {
 		if !t.hasNext {
 			t.next = t.src.Next()
 			t.hasNext = true
@@ -643,7 +753,7 @@ func (c *Core) fetchThread(t *thread, max int) int {
 			}
 		}
 
-		t.fetchBuf = append(t.fetchBuf, f)
+		t.fetchBuf.pushBack(f)
 		t.seq++
 		t.hasNext = false
 		n++

@@ -45,6 +45,15 @@ type ThreadMetrics struct {
 	StallEmptyFB      uint64
 }
 
+// cycleCap is the run's cycle limit.
+func (spec RunSpec) cycleCap() int64 {
+	if spec.MaxCycles != 0 {
+		return spec.MaxCycles
+	}
+	// At worst IPC ~0.005 per thread (pathological throttling).
+	return int64(spec.WarmupInstr+spec.MeasureInstr) * 200
+}
+
 // Run executes the core until every thread has retired
 // WarmupInstr+MeasureInstr µops (or MaxCycles elapses) and returns
 // per-thread metrics. It may be called once per Core.
@@ -52,32 +61,54 @@ func (c *Core) Run(spec RunSpec) ([]ThreadMetrics, error) {
 	if spec.MeasureInstr == 0 {
 		return nil, fmt.Errorf("core: zero measurement length")
 	}
-	maxCycles := spec.MaxCycles
-	if maxCycles == 0 {
-		// At worst IPC ~0.005 per thread (pathological throttling).
-		maxCycles = int64(spec.WarmupInstr+spec.MeasureInstr) * 200
+	c.advance(spec.cycleCap(), func() bool { return c.markWindows(spec) })
+	return c.runMetrics(), nil
+}
+
+// advance runs the core up to cycle end, or until done (called after every
+// stepped cycle; nil never stops) reports true. Idle cycles are skipped in
+// bulk (see skipIdle) with the same results as stepping each one.
+func (c *Core) advance(end int64, done func() bool) {
+	var before [2]stallCounters
+	for c.cycle < end {
+		for i, t := range c.threads {
+			before[i] = t.stall
+		}
+		busy := c.step()
+		if done != nil && done() {
+			return
+		}
+		if !busy {
+			c.skipIdle(end, &before)
+		}
 	}
+}
+
+// markWindows opens and closes the threads' measurement windows as their
+// commit counts cross the spec's bounds, and reports whether every
+// thread's window has closed.
+func (c *Core) markWindows(spec RunSpec) bool {
 	target := spec.WarmupInstr + spec.MeasureInstr
-	for c.cycle < maxCycles {
-		c.step()
-		doneAll := true
-		for _, t := range c.threads {
-			if t.measStartCycle == 0 && t.committed >= spec.WarmupInstr {
-				t.measStartCycle = c.cycle
-				t.measStartN = t.committed
-			}
-			if t.measEndCycle == 0 && t.committed >= target {
-				t.measEndCycle = c.cycle
-				t.measEndN = t.committed
-			}
-			if t.measEndCycle == 0 {
-				doneAll = false
-			}
+	doneAll := true
+	for _, t := range c.threads {
+		if t.measStartCycle == 0 && t.committed >= spec.WarmupInstr {
+			t.measStartCycle = c.cycle
+			t.measStartN = t.committed
 		}
-		if doneAll {
-			break
+		if t.measEndCycle == 0 && t.committed >= target {
+			t.measEndCycle = c.cycle
+			t.measEndN = t.committed
+		}
+		if t.measEndCycle == 0 {
+			doneAll = false
 		}
 	}
+	return doneAll
+}
+
+// runMetrics closes any window the cycle cap left open and summarises
+// every thread.
+func (c *Core) runMetrics() []ThreadMetrics {
 	out := make([]ThreadMetrics, c.nthreads)
 	for i, t := range c.threads {
 		if t.measStartCycle == 0 {
@@ -88,17 +119,14 @@ func (c *Core) Run(spec RunSpec) ([]ThreadMetrics, error) {
 		}
 		out[i] = c.threadMetrics(t)
 	}
-	return out, nil
+	return out
 }
 
 // RunCycles advances the core by n cycles without measurement windows;
 // used by the closed-loop controller experiments. It returns per-thread
 // committed-instruction counts since the start of the run.
 func (c *Core) RunCycles(n int64) []uint64 {
-	end := c.cycle + n
-	for c.cycle < end {
-		c.step()
-	}
+	c.advance(c.cycle+n, nil)
 	out := make([]uint64, c.nthreads)
 	for i, t := range c.threads {
 		out[i] = t.committed
@@ -134,32 +162,25 @@ func (c *Core) threadMetrics(t *thread) ThreadMetrics {
 		m.L1IMissRate = float64(t.iMisses) / float64(t.iAccesses)
 	}
 	m.MLPTail, m.AvgOutstanding = mlpCensus(t.missEvents, t.measStartCycle, t.measEndCycle)
-	m.StallFetchBlocked = t.stallFetchBlocked
-	m.StallBranchRec = t.stallBranchRec
-	m.StallROBFull = t.stallROBFull
-	m.StallLSQFull = t.stallLSQFull
-	m.StallEmptyFB = t.stallEmptyFB
+	m.StallFetchBlocked = t.stall.fetchBlocked
+	m.StallBranchRec = t.stall.branchRec
+	m.StallROBFull = t.stall.robFull
+	m.StallLSQFull = t.stall.lsqFull
+	m.StallEmptyFB = t.stall.emptyFB
 	return m
 }
 
 // mlpCensus integrates the demand-miss interval events over the window and
 // returns the fraction of time with >= k misses outstanding, for k = 0..5,
-// plus the time-average outstanding count.
-func mlpCensus(events []missEvent, start, end int64) (tail [6]float64, avg float64) {
-	if end <= start || len(events) == 0 {
+// plus the time-average outstanding count. It clamps and sorts evs in
+// place: Run runs once per Core and nothing reads the events afterwards.
+func mlpCensus(evs []missEvent, start, end int64) (tail [6]float64, avg float64) {
+	if end <= start || len(evs) == 0 {
 		tail[0] = 1
 		return tail, 0
 	}
-	evs := make([]missEvent, 0, len(events))
-	for _, e := range events {
-		at := e.at
-		if at < start {
-			at = start
-		}
-		if at > end {
-			at = end
-		}
-		evs = append(evs, missEvent{at: at, delta: e.delta})
+	for i := range evs {
+		evs[i].at = min(max(evs[i].at, start), end)
 	}
 	sort.Slice(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
 

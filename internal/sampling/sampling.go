@@ -8,6 +8,7 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -81,7 +82,7 @@ func aggregate(ms []core.ThreadMetrics) Agg {
 		ss += d * d
 	}
 	if len(ms) > 1 {
-		a.IPCStdDev = ss / float64(len(ms)-1)
+		a.IPCStdDev = math.Sqrt(ss / float64(len(ms)-1))
 	}
 	return a
 }

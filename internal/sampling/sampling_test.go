@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -128,8 +129,8 @@ func TestAggregateMath(t *testing.T) {
 	if a.IPC != 2 {
 		t.Fatalf("mean IPC = %v", a.IPC)
 	}
-	if a.IPCStdDev != 2 { // sample variance of {1,3} = 2
-		t.Fatalf("variance = %v", a.IPCStdDev)
+	if a.IPCStdDev != math.Sqrt2 { // sample standard deviation of {1,3} = √2
+		t.Fatalf("standard deviation = %v", a.IPCStdDev)
 	}
 	if aggregate(nil).IPC != 0 {
 		t.Fatal("empty aggregate")
