@@ -217,8 +217,8 @@ func BenchmarkFleetCalibrated1kCores(b *testing.B) {
 	benchFleet(b, cfg)
 }
 
-// BenchmarkFleetCohort1kCores measures the cohort-coalesced path at the
-// 1k scale under the auto engine: steady windows answered once per cohort
+// BenchmarkFleetCohort1kCores measures the window walk's coalescing at
+// the 1k scale under the auto engine: steady windows answered once per cohort
 // span (one analytic solve, one bulk histogram deposit, one shared
 // controller per equivalence class) with the discrete residue on the
 // worker pool. Its delta against BenchmarkFleet1kCores is the coalescing
@@ -236,16 +236,16 @@ func BenchmarkFleet10kCores(b *testing.B) {
 }
 
 // BenchmarkFleet100kCores runs the same diurnal day at 100k cores under
-// the auto engine: steady windows answered by the analytic fluid fast
-// path, transitional ones (cold starts, mode switches, guard-band
-// excursions) on the discrete simulator.
+// the auto engine: steady windows answered by the analytic fast path,
+// transitional ones (cold starts, mode switches, guard-band excursions)
+// on the discrete simulator.
 func BenchmarkFleet100kCores(b *testing.B) {
 	cfg := benchFleetConfig(6250, EstimatorDefault) // 100000 cores
 	cfg.Engine = EngineAuto
 	benchFleet(b, cfg)
 }
 
-// BenchmarkFleet1MCores is the fluid fast path's tentpole scale target:
+// BenchmarkFleet1MCores is the analytic fast path's tentpole scale target:
 // a 1M-core × 24h fleet day under the auto engine in under a minute.
 func BenchmarkFleet1MCores(b *testing.B) {
 	cfg := benchFleetConfig(62500, EstimatorDefault) // 1000000 cores

@@ -356,7 +356,7 @@ func formatFleetResult(p fleetParams, cfg fleet.Config, res fleet.Result) string
 		fmt.Fprintf(&b, "fleet-wide tail over all serving core-windows: p99 %.1f ms, p99.9 %.1f ms (histogram estimator)\n",
 			res.FleetP99Ms, res.FleetP999Ms)
 	}
-	// The engine line only appears on fluid/auto runs, so discrete golden
+	// The engine line only appears on auto runs, so discrete golden
 	// files keep reproducing byte-identically.
 	if res.Engine != fleet.EngineDiscrete {
 		serving := res.Cores*res.Windows - res.DrainedCoreWindows - res.ParkedCoreWindows - res.IdleCoreWindows

@@ -10,7 +10,7 @@
 //	stretchsim -fleet [-servers 64] [-cores 16] [-trace mixed|<file>]
 //	           [-policy static|proportional|p2c|feedback] [-events "drain:24:0,..."]
 //	           [-autoscale off|util|violation] [-autoscale-min 1]
-//	           [-tail-estimator histogram|exact] [-engine discrete|fluid|auto]
+//	           [-tail-estimator histogram|exact] [-engine discrete|auto]
 //	           [-calib default|<path.json>]
 //	           [-hours 24] [-windows-per-hour 4] [-window-requests 400]
 //	           [-seed 1] [-fleet-workers 0] [-window-trace]
@@ -21,7 +21,7 @@
 //	           [-cohorts 4:1:6] [-events "..."] [-format csv|jsonl] [-o week.trace.csv]
 //	stretchsim plan -trace week.trace.csv [-budget 0] [-cores 16]
 //	           [-min-servers 1] [-max-servers 64] [-policy feedback]
-//	           [-tail-estimator histogram|exact] [-engine discrete|fluid|auto]
+//	           [-tail-estimator histogram|exact] [-engine discrete|auto]
 //	           [-calib default|<path.json>]
 //	           [-window-requests 400] [-seed 1] [-fleet-workers 0]
 //	stretchsim search [-traces week.trace.csv,failover] [-servers 4] [-cores 4]
@@ -93,7 +93,7 @@ func main() {
 		autoscale  = flag.String("autoscale", "off", "fleet: autoscaling policy (off|util|violation) — servers join/leave the fleet between windows")
 		autoMin    = flag.Int("autoscale-min", 0, "fleet: autoscaler's in-service server floor (0 = default 1)")
 		estimator  = flag.String("tail-estimator", "histogram", "fleet: tail quantile estimator (histogram|exact)")
-		engine     = flag.String("engine", "discrete", "fleet: window engine — discrete event simulation, the analytic fluid fast path, or per-window auto classification (discrete|fluid|auto)")
+		engine     = flag.String("engine", "discrete", "fleet: window engine — discrete event simulation, or per-window auto classification onto the analytic fast path (discrete|auto)")
 		calibFlag  = flag.String("calib", "", "fleet: per-(service,batch,mode) calibration from the cycle-level model: \"default\" for the committed table, a .json path for an on-disk cache (built on miss), empty for uniform scalars")
 		events     = flag.String("events", "", "fleet: scenario events, e.g. \"drain:24:0,restore:72:0,surge:30-40:video:1.8,perf:3:0.85\" (failover trace has a built-in default)")
 		hours      = flag.Float64("hours", 24, "fleet: horizon in hours")

@@ -65,7 +65,7 @@ func TestFleetGolden(t *testing.T) {
 		// pays warm-up migrations on the way back up, locked end to end —
 		// policy echo, parked core-windows in the schedule line and all.
 		{"mixed", "feedback", 24, "histogram", "", "util", "", false},
-		// Auto-engine runs lock the fluid fast path's classifier output:
+		// Auto-engine runs lock the analytic fast path's classifier output:
 		// the engine line reports how many serving core-windows were
 		// answered analytically, and the fleet numbers must hold steady
 		// against the discrete goldens above.

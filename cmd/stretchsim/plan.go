@@ -103,7 +103,7 @@ func runPlan(args []string) {
 	fs.IntVar(&p.budget, "budget", 0, "SLO budget: largest tolerable count of QoS-violating core-windows over the horizon")
 	fs.StringVar(&p.policy, "policy", "feedback", "scheduler policy each probe runs (static|proportional|p2c|feedback)")
 	fs.StringVar(&p.estimator, "tail-estimator", "histogram", "tail quantile estimator (histogram|exact)")
-	fs.StringVar(&p.engine, "engine", "discrete", "window engine each probe runs (discrete|fluid|auto)")
+	fs.StringVar(&p.engine, "engine", "discrete", "window engine each probe runs (discrete|auto)")
 	fs.StringVar(&p.calib, "calib", "", "per-(service,batch,mode) calibration: \"default\", a .json cache path, or empty for uniform scalars")
 	fs.StringVar(&p.events, "events", "", "scenario events overriding the trace's embedded annotations")
 	fs.IntVar(&p.windowReq, "window-requests", 400, "simulated requests per core-window")

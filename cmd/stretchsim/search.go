@@ -133,7 +133,7 @@ func runSearch(args []string) {
 	fs.StringVar(&p.weights, "weights", "", "fitness weight spec, e.g. \"viol=1,batch=0.5,migr=0.05,fair=25\" (empty = defaults)")
 	fs.IntVar(&p.top, "top", 0, "print only the top N candidates (0 = all)")
 	fs.StringVar(&p.estimator, "tail-estimator", "histogram", "tail quantile estimator (histogram|exact)")
-	fs.StringVar(&p.engine, "engine", "discrete", "window engine each run uses (discrete|fluid|auto)")
+	fs.StringVar(&p.engine, "engine", "discrete", "window engine each run uses (discrete|auto)")
 	fs.StringVar(&p.calib, "calib", "", "per-(service,batch,mode) calibration: \"default\", a .json cache path, or empty for uniform scalars")
 	fs.StringVar(&p.events, "events", "", "scenario events overriding each trace's embedded/default annotations")
 	fs.Float64Var(&p.hours, "hours", 24, "horizon for named generative specs (trace files bring their own)")

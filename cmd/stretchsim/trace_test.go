@@ -141,7 +141,7 @@ func TestTraceReplayWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestTraceReplayAutoMatchesDiscrete is the fluid fast path's accuracy
+// TestTraceReplayAutoMatchesDiscrete is the analytic fast path's accuracy
 // contract on recorded traffic: replaying the committed week trace under
 // the auto engine must answer a substantial share of serving core-windows
 // analytically, land the fleet-wide tail quantiles within the histogram's

@@ -1,16 +1,19 @@
-// Cohort-coalesced window execution: the fluid/auto engines' default path.
+// The window walk: the engine's one execution path, under every engine.
 //
 // In a homogeneous fleet almost every in-service core is bit-identical to
 // its neighbours: same client, same perf generation, same settled mode,
-// same per-core rate. The per-core path still pays per-core cost for each
-// of them — a work-claim, a solve-cache probe, a histogram Add, a
-// controller Observe — a million times per window. This path exploits the
-// redundancy instead: each window is walked once, in core order, as
-// run-length spans of the plan keyed by (client, rate, perf bits,
-// migrated, controller class). A span whose classification is steady is
-// answered once — one analytic solve, one Histogram.AddN deposit of the
-// span's whole count, a bulk fill of the window slices, and one
-// representative controller per equivalence class.
+// same per-core rate. Paying per-core cost for each of them — a
+// work-claim, a solve-cache probe, a histogram Add, a controller Observe —
+// a million times per window is waste. Instead each window is walked once,
+// in core order, as run-length spans of the plan keyed by (client, rate,
+// perf bits, migrated, controller class). A span whose window is answered
+// without simulation — an analytic steady window under auto, or a
+// zero-rate window under either engine — is answered once: one tail, one
+// Histogram.AddN deposit of the span's whole count, a bulk fill of the
+// window slices, and one representative controller per equivalence
+// class. Every other span forks to the discrete residue, which the worker
+// pool simulates core by core. The discrete engine is the walk's
+// degenerate case: nothing is steady, so every span with load forks.
 //
 // Controller equivalence is exact, not approximate: monitor.Controller is
 // a deterministic all-scalar function of its observation stream, so cores
@@ -24,19 +27,25 @@
 // is what keeps the class population proportional to the number of
 // distinct histories, not the number of cores).
 //
+// The class table never holds more than nCores + len(clients) slots: at
+// most one non-empty class per core, plus at most one emptied class per
+// client born this window (its freshFor cold-start class), which later
+// handovers may still rejoin and so waits for the end-of-window sweep. A
+// class born in an earlier window is unreachable once empty — no freshFor
+// or mergeMap entry points at it — so its slot is freed the moment it
+// empties, and a span's old class is shrunk before its replacements are
+// minted, letting them reuse the slot.
+//
 // Discrete-residue cores keep their per-core (seed, core, window) rng
-// streams untouched and run on the worker pool exactly as the reference
-// path would run them, so the determinism contract — byte-identical
-// goldens, DeepEqual across worker counts, DeepEqual against the
-// reference path — is preserved exactly. The reference per-core path
-// remains available via the STRETCH_NO_COALESCE environment variable (or
-// the unexported Config.noCoalesce bit) and is the basis of the
-// equivalence suite in cohort_test.go.
+// streams, so results are fixed by the seed and DeepEqual across worker
+// counts; the equivalence suite in cohort_test.go holds the walk to an
+// independent per-core reference.
 package fleet
 
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"stretch/internal/core"
 	"stretch/internal/monitor"
@@ -55,8 +64,8 @@ const claimChunk = 128
 // shared — by construction, not by assumption — by every core whose
 // observation history matches. size counts current members; born is the
 // window the class was created in (−2 marks a freed table slot awaiting
-// reuse), which guards the in-place singleton advance and the double-free
-// check in retire sweeps.
+// reuse), which guards the in-place singleton advance, the early release
+// of emptied classes and the double-free check in retire sweeps.
 type cohortClass struct {
 	ctl      monitor.Controller
 	client   int16
@@ -118,19 +127,21 @@ func (p *workerPool) run(n int, fn func(wk int)) {
 
 func (p *workerPool) close() { close(p.jobs) }
 
-// initCohorts wires the coalesced path's state. The class table starts
-// empty and grows to the number of distinct controller histories alive at
-// once (bounded by nCores, typically far smaller); freed slots recycle
-// through freeClass so a discrete window's million forks reuse the slots
-// the following steady window's merges release.
+// initCohorts wires the walk's state. The class table is sized once to its
+// nCores + nClients bound (see the package note above); freed slots recycle
+// through freeClass, so a discrete window's forks reuse the slots the
+// previous window's merges and departures released. The worklist is sized
+// to the fleet: under the discrete engine every serving core lands on it.
 func (e *engine) initCohorts(nClients int) {
 	e.classOf = make([]int32, e.nCores)
 	for c := range e.classOf {
 		e.classOf[c] = -1
 	}
+	e.classes = make([]cohortClass, 0, e.nCores+nClients)
 	e.swBase = make([]uint64, e.nCores)
 	e.mergeMap = make(map[mergeKey]int32)
 	e.freshFor = make([]int32, nClients)
+	e.worklist = make([]workItem, 0, e.nCores)
 }
 
 // newClass allocates a class table slot, recycling freed ones.
@@ -145,26 +156,70 @@ func (e *engine) newClass(cl cohortClass) int32 {
 	return int32(len(e.classes) - 1)
 }
 
-// leaveClass removes core c from class k, banking the class controller's
-// switch count into the core's own base — the same accounting the
-// reference path does at controller reset, moved to departure time (the
-// class controller may be reused or merged away before the core's next
-// reset). A class emptied here is only reclaimed by the end-of-window
-// sweep, never mid-walk: later cores this window may still join it
-// through freshFor.
-func (e *engine) leaveClass(c int, k int32) {
-	e.swBase[c] += e.classes[k].ctl.Switches()
-	e.classes[k].size--
-	if e.classes[k].size == 0 {
+// shrinkClass drops m members from class k. An emptied class born before
+// window w is unreachable and its slot is freed at once (born −2 marks a
+// freed slot); one born in w may still be rejoined through freshFor, so it
+// waits for the end-of-window sweep.
+func (e *engine) shrinkClass(k, m int32, w int) {
+	cl := &e.classes[k]
+	cl.size -= m
+	if cl.size > 0 {
+		return
+	}
+	if cl.born < int32(w) {
+		cl.born = -2
+		e.freeClass = append(e.freeClass, k)
+	} else {
 		e.retired = append(e.retired, k)
 	}
+}
+
+// leaveClass removes core c from class k, banking the class controller's
+// switch count into the core's own base: the class controller may be
+// reused or merged away before the core's next cold start.
+func (e *engine) leaveClass(c int, k int32, w int) {
+	e.swBase[c] += e.classes[k].ctl.Switches()
+	e.shrinkClass(k, 1, w)
 	e.classOf[c] = -1
 }
 
-// coalesceWindow is phase one of a coalesced window: a single serial walk
-// over the plan that answers every steady span in closed form and queues
-// the discrete residue for the pool. Serial is deliberate — span handling
-// mutates the shared class table and merge map, and the walk is O(spans +
+// walkWindow executes one window: the serial walk answers the coalesced
+// spans and queues the discrete residue, the pool simulates the residue,
+// claiming work in blocks of claimChunk, and the first per-core error in
+// core order is returned once the pool has joined.
+func (e *engine) walkWindow(w int, asg Assignment) error {
+	e.coalesceWindow(w, asg)
+	if work := len(e.worklist); work > 0 {
+		var next atomic.Int64
+		e.pool.run(len(e.sims), func(wk int) {
+			sim := e.sims[wk]
+			var shard []*stats.Histogram
+			if e.shards != nil {
+				shard = e.shards[wk]
+			}
+			for {
+				lo := int(next.Add(claimChunk)) - claimChunk
+				if lo >= work {
+					return
+				}
+				for _, it := range e.worklist[lo:min(lo+claimChunk, work)] {
+					e.runWorkItem(it, w, sim, shard)
+				}
+			}
+		})
+	}
+	for _, err := range e.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// coalesceWindow is phase one of a window: a single serial walk over the
+// plan that answers every coalesced span at once and queues the discrete
+// residue for the pool. Serial is deliberate — span handling mutates the
+// shared class table and merge map, and the walk is O(spans +
 // cores·(slice fills)) with no simulation inside, so it is never the
 // bottleneck; the expensive residue runs on the pool in phase two.
 func (e *engine) coalesceWindow(w int, asg Assignment) {
@@ -200,17 +255,18 @@ func (e *engine) coalesceWindow(w int, asg Assignment) {
 				e.batchRel[idx] = 1
 			}
 			if k := e.classOf[c]; k >= 0 {
-				e.leaveClass(c, k)
+				e.leaveClass(c, k, w)
 			}
 			continue
 		}
 		k := e.classOf[c]
 		if k < 0 || e.classes[k].client != ci {
-			// Handover (or return from a sentinel state): cold start, same
-			// as the reference path's controller reset.
+			// Handover (or return from a sentinel state): a cold start with
+			// a freshly reset controller, shared by every core handed to
+			// the same client this window.
 			flush(c)
 			if k >= 0 {
-				e.leaveClass(c, k)
+				e.leaveClass(c, k, w)
 			}
 			k = e.freshFor[ci]
 			if k < 0 {
@@ -235,10 +291,10 @@ func (e *engine) coalesceWindow(w int, asg Assignment) {
 	}
 	flush(e.nCores)
 
-	// Reclaim classes that emptied this window. born == -2 marks a slot
-	// already freed, guarding against duplicate retire entries; a class
-	// that emptied mid-walk but was rejoined later has size > 0 again and
-	// survives.
+	// Reclaim this window's cold-start classes that stayed empty. born ==
+	// -2 marks a slot already freed, guarding against duplicate retire
+	// entries; a class that emptied mid-walk but was rejoined later has
+	// size > 0 again and survives.
 	for _, k := range e.retired {
 		if e.classes[k].size == 0 && e.classes[k].born >= 0 {
 			e.classes[k].born = -2
@@ -249,12 +305,16 @@ func (e *engine) coalesceWindow(w int, asg Assignment) {
 
 // subRun executes one maximal run of cores sharing (class, client, rate,
 // perf, migrated) — the cohort key. The mode, effective perf factor,
-// batch credit and steadiness classification are computed once for the
-// whole run, exactly as stepCore computes them per core.
+// batch credit and classification are computed once for the whole run:
+// identical inputs would give every member core the identical answer.
 func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float64, mig bool) {
 	m := int32(b - a)
 	mode := e.classes[k].ctl.Mode()
 	perf := rawPerf
+	// The engaged mode's calibrated LS delta: positive slows the service
+	// (B-mode), negative speeds it up (a calibrated Q-mode cell). Guarded
+	// so disengaged modes multiply nothing and stay bit-identical to the
+	// pre-calibration arithmetic.
 	if s := e.lsSlowMode[ci][mode]; s != 0 {
 		perf *= 1 - s
 	}
@@ -278,30 +338,25 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 		}
 	}
 
-	// Classification, once per cohort: identical inputs would give every
-	// member core the identical answer, so deciding per span IS deciding
-	// per core. A zero-rate span coalesces trivially (tail 0, see
-	// stepCore's idle-window note); a solver refusal drops the whole span
-	// to the discrete residue, matching the per-core fallback.
+	// Classification. An idle window — a Poisson draw of zero arrivals, or
+	// a window the scheduler routed no load to — skips the queueing
+	// simulation under every engine and reads as zero tail: maximal slack.
+	// This is deliberate: a core with nothing to serve cannot violate its
+	// target, its controller sees the deepest possible headroom (driving it
+	// toward B-mode), and the zero is recorded like any other tail under
+	// both estimators, so idle windows pull the measured quantiles down
+	// rather than being silently dropped. Under auto, a steady span —
+	// settled mode, no migration cold-start, no burst/surge turbulence,
+	// utilization inside the guard band — takes the analytic answer; a
+	// solver refusal drops it to the discrete residue, never errors the run.
 	tail, analytic, coalesced := 0.0, false, false
-	if rate > 0 {
-		if e.fluidOK[ci] {
-			util := rate * e.utilCoef[ci] / perf
-			var steady bool
-			if e.engineSel == EngineFluid {
-				steady = util < queueing.AnalyticMaxUtilization
-			} else {
-				steady = util <= autoSteadyMaxUtil && int8(mode) == e.classes[k].lastMode &&
-					!mig && !e.unsteady[ci][w]
-			}
-			if steady {
-				if t, ok := e.analyticTail(ci, rate, perf); ok {
-					tail, analytic, coalesced = t, true, true
-				}
-			}
-		}
-	} else {
+	if rate <= 0 {
 		coalesced = true
+	} else if e.engineSel == EngineAuto && e.analyticOK[ci] &&
+		rate*e.utilCoef[ci]/perf <= autoSteadyMaxUtil && int8(mode) == e.classes[k].lastMode &&
+		!mig && !e.unsteady[ci][w] {
+		tail, analytic = e.analyticTail(ci, rate, perf)
+		coalesced = analytic
 	}
 
 	if coalesced {
@@ -311,6 +366,7 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 		// class already carries that exact state (or mint one).
 		cand := e.classes[k].ctl
 		cand.Observe(monitor.Observation{TailMs: tail})
+		e.shrinkClass(k, m, w)
 		mk := mergeKey{ctl: cand, client: ci, lastMode: int8(mode)}
 		tgt, ok := e.mergeMap[mk]
 		if !ok {
@@ -326,12 +382,11 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 			e.classOf[c] = tgt
 		}
 		e.classes[tgt].size += m
-		e.classes[k].size -= m
-		if e.classes[k].size == 0 {
-			e.retired = append(e.retired, k)
-		}
-		if e.cohortShard != nil {
-			e.cohortShard[ci].AddN(tail, uint64(m))
+		// The walk runs before the pool starts, so worker 0's shard can
+		// take the span's deposit; integer bucket counts merge in any
+		// order.
+		if e.shards != nil {
+			e.shards[0][ci].AddN(tail, uint64(m))
 		}
 		return
 	}
@@ -347,24 +402,20 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 		return
 	}
 	base := e.classes[k].ctl
-	lm := int8(mode)
+	e.shrinkClass(k, m, w)
 	for c := a; c < b; c++ {
-		sk := e.newClass(cohortClass{ctl: base, client: ci, lastMode: lm, born: int32(w), size: 1})
+		sk := e.newClass(cohortClass{ctl: base, client: ci, lastMode: int8(mode), born: int32(w), size: 1})
 		e.classOf[c] = sk
 		e.worklist = append(e.worklist, workItem{core: int32(c), class: sk, rate: rate, perf: perf})
-	}
-	e.classes[k].size -= m
-	if e.classes[k].size == 0 {
-		e.retired = append(e.retired, k)
 	}
 }
 
 // runWorkItem is phase two's unit of work: one discrete-residue
-// core-window, simulated exactly as the reference path would — same
-// (seed, core, window)-derived stream, same Simulator reuse, same shard
-// deposit — with the controller advance landing on the core's singleton
-// class instead of a coreState. Items touch disjoint cores and classes,
-// so the pool needs no locking beyond the claim counter.
+// core-window, simulated on the core's own (seed, core, window)-derived
+// stream with the worker's reused Simulator, its tail deposited in the
+// worker's shard and observed by the core's singleton class. Items touch
+// disjoint cores and classes, so the pool needs no locking beyond the
+// claim counter.
 func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator, shard []*stats.Histogram) {
 	c := int(it.core)
 	idx := c*e.windows + w

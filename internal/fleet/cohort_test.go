@@ -2,20 +2,25 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"stretch/internal/core"
 	"stretch/internal/loadgen"
+	"stretch/internal/monitor"
 	"stretch/internal/stats"
 	"stretch/internal/workload"
 )
 
-// equivConfig is the equivalence suite's base fleet: two clients on
+// equivConfig is the equivalence suite's base fleet: three clients on
 // different services (different targets and calibration-free deltas), a
 // diurnal shape so the auto classifier mixes analytic and discrete
-// windows, and a drain/restore plus a surge so cores transit sentinel
-// states and unsteady windows mid-horizon — the transitions that fork and
-// re-merge controller-equivalence classes.
+// windows, a near-idle Poisson client whose windows often draw zero
+// arrivals (the zero-rate spans both engines coalesce), and a
+// drain/restore plus a surge so cores transit sentinel states and
+// unsteady windows mid-horizon — the transitions that fork and re-merge
+// controller-equivalence classes.
 func equivConfig() Config {
 	return Config{
 		Servers: 3, CoresPerServer: 4,
@@ -23,14 +28,18 @@ func equivConfig() Config {
 			Windows: 10, WindowSec: 300,
 			Clients: []loadgen.Client{
 				{
-					Name: "search", Service: workload.WebSearch, Fraction: 0.5, SLO: loadgen.SLOStrict,
+					Name: "search", Service: workload.WebSearch, Fraction: 5.0 / 12, SLO: loadgen.SLOStrict,
 					Spec: loadgen.Spec{Shape: loadgen.Diurnal{
-						HourLoad: loadgen.WebSearchDay(), PeakRPS: 600 * 6, WindowsPerDay: 10,
+						HourLoad: loadgen.WebSearchDay(), PeakRPS: 600 * 5, WindowsPerDay: 10,
 					}, Poisson: true},
 				},
 				{
-					Name: "kv", Service: workload.DataServing, Fraction: 0.5,
-					Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 1000 * 6}, Poisson: true},
+					Name: "kv", Service: workload.DataServing, Fraction: 5.0 / 12,
+					Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 1000 * 5}, Poisson: true},
+				},
+				{
+					Name: "cron", Service: workload.WebSearch, Fraction: 2.0 / 12,
+					Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 0.003}, Poisson: true},
 				},
 			},
 		},
@@ -44,43 +53,131 @@ func equivConfig() Config {
 	}
 }
 
-// TestCohortEquivalence is the cohort path's contract: for every policy ×
-// engine × estimator, the coalesced run must DeepEqual the reference
-// per-core run — full Results, every float bit — at every worker count.
-// The -race CI job runs this, putting the shared solve cache, the
-// persistent pool and the phase-two class advances under the detector.
+// perCoreWindow is the equivalence suite's reference step: every core
+// advances on its own, in core order, with no spans, merges or worker
+// pool — the per-core execution the walk coalesces. Core c's controller
+// lives in class slot c for the whole run (client −4 matches no client
+// and no sentinel), so the engine's barrier and final aggregation read it
+// exactly as they read the walk's classes.
+func perCoreWindow(e *engine, w int, asg Assignment) error {
+	if w == 0 {
+		e.classes = make([]cohortClass, e.nCores)
+		for c := range e.classes {
+			e.classes[c] = cohortClass{client: -4, lastMode: -1}
+			e.classOf[c] = int32(c)
+		}
+	}
+	var shard []*stats.Histogram
+	if e.shards != nil {
+		shard = e.shards[0]
+	}
+	for c := 0; c < e.nCores; c++ {
+		idx := c*e.windows + w
+		ci := asg.Client[c]
+		e.client[idx] = ci
+		st := &e.classes[c]
+		if ci < 0 {
+			e.tails[idx] = math.NaN()
+			if ci == coreIdle {
+				e.batchRel[idx] = 1
+			}
+			st.client = ci
+			continue
+		}
+		if ci != st.client {
+			e.swBase[c] += st.ctl.Switches()
+			if err := st.ctl.Reset(e.monCfg(e.targets[ci])); err != nil {
+				return err
+			}
+			st.client, st.lastMode = ci, -1
+		}
+		mode := st.ctl.Mode()
+		rate, mig := asg.Rate[c], asg.Migrated[c]
+		perf := e.perf[c]
+		if s := e.lsSlowMode[ci][mode]; s != 0 {
+			perf *= 1 - s
+		}
+		if mig {
+			perf *= 1 - e.migPenalty
+		}
+		var tail float64
+		if rate > 0 {
+			solved := false
+			if e.engineSel == EngineAuto && e.analyticOK[ci] && rate*e.utilCoef[ci]/perf <= autoSteadyMaxUtil &&
+				int8(mode) == st.lastMode && !mig && !e.unsteady[ci][w] {
+				tail, solved = e.analyticTail(ci, rate, perf)
+				e.analytic[idx] = solved
+			}
+			if !solved {
+				sim := e.sims[0]
+				if err := sim.Reset(e.qcfgs[ci]); err != nil {
+					return err
+				}
+				qr, err := sim.Simulate(rate, e.windowReq, perf, e.streams[c].Derive(uint64(w)).Uint64())
+				if err != nil {
+					return err
+				}
+				tail = qr.QoSMs
+			}
+		}
+		e.tails[idx] = tail
+		if shard != nil {
+			shard[ci].Add(tail)
+		}
+		e.modeB[idx] = mode == core.ModeB
+		if mode == core.ModeB && mig && e.migPenalty > 0 {
+			e.batchRel[idx] = 1
+		} else {
+			e.batchRel[idx] = e.batchRelMode[ci][mode]
+		}
+		st.lastMode = int8(mode)
+		st.ctl.Observe(monitor.Observation{TailMs: tail})
+	}
+	return nil
+}
+
+// checkWalkMatchesReference runs cfg through the per-core reference once
+// and through the walk at 1, 5 and 16 workers, failing unless every walk
+// Result DeepEquals the reference — full Results, every float bit.
+func checkWalkMatchesReference(t *testing.T, cfg Config) Result {
+	t.Helper()
+	cfg.Workers = 1
+	ref, err := run(cfg, perCoreWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 5, 16} {
+		cfg.Workers = workers
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("walk (%d workers) diverged from the per-core reference", workers)
+		}
+	}
+	return ref
+}
+
+// TestCohortEquivalence is the walk's contract: for every policy × engine
+// × estimator, the walk must DeepEqual the per-core reference at every
+// worker count. The -race CI job runs this, putting the shared solve
+// cache, the persistent pool and the phase-two class advances under the
+// detector.
 func TestCohortEquivalence(t *testing.T) {
 	policies := []Policy{PolicyStatic, PolicyProportional, PolicyP2C, PolicyFeedback}
-	engines := []Engine{EngineAuto, EngineFluid}
 	estimators := []stats.TailEstimator{stats.EstimatorHistogram, stats.EstimatorExact}
 	for _, pol := range policies {
-		for _, eng := range engines {
+		for _, eng := range []Engine{EngineDiscrete, EngineAuto} {
 			for _, est := range estimators {
 				t.Run(fmt.Sprintf("%v/%v/%v", pol, eng, est), func(t *testing.T) {
 					cfg := equivConfig()
 					cfg.Scheduler = SchedulerConfig{Policy: pol}
 					cfg.Engine = eng
 					cfg.TailEstimator = est
-					cfg.Workers = 1
-					cfg.noCoalesce = true
-					ref, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ref.CohortCoreWindows == 0 {
+					ref := checkWalkMatchesReference(t, cfg)
+					if eng == EngineAuto && ref.CohortCoreWindows == 0 {
 						t.Fatal("no coalescible core-windows; the equivalence check is vacuous")
-					}
-					for _, workers := range []int{1, 5, 16} {
-						ccfg := cfg
-						ccfg.Workers = workers
-						ccfg.noCoalesce = false
-						got, err := Run(ccfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(ref, got) {
-							t.Fatalf("coalesced run (%d workers) diverged from per-core reference", workers)
-						}
 					}
 				})
 			}
@@ -88,59 +185,85 @@ func TestCohortEquivalence(t *testing.T) {
 	}
 }
 
-// TestCohortEquivalenceAutoscale drives park/unpark transitions (plus a
+// autoscaleEquivConfig adds park/unpark transitions (on top of the
 // scenario drain) under the util autoscaler: parked cores leave their
 // equivalence classes and return as cold starts, the class-split path the
-// plain suite cannot reach. Both estimators, both engines, three worker
-// counts.
+// plain suite cannot reach.
+func autoscaleEquivConfig() Config {
+	cfg := equivConfig()
+	cfg.Scheduler = SchedulerConfig{Policy: PolicyProportional, NoMinCores: true}
+	cfg.Autoscale = AutoscaleConfig{
+		Policy: AutoscaleUtil, MinServers: 1,
+		Custom: windowScale(func(w int) int {
+			switch {
+			case w >= 2 && w < 5: // park two servers mid-horizon
+				return 1
+			default:
+				return 3
+			}
+		}),
+	}
+	return cfg
+}
+
+// TestCohortEquivalenceAutoscale holds the walk to the reference across
+// autoscale park/unpark transitions: both engines, both estimators, three
+// worker counts.
 func TestCohortEquivalenceAutoscale(t *testing.T) {
-	for _, eng := range []Engine{EngineAuto, EngineFluid} {
+	for _, eng := range []Engine{EngineDiscrete, EngineAuto} {
 		for _, est := range []stats.TailEstimator{stats.EstimatorHistogram, stats.EstimatorExact} {
 			t.Run(fmt.Sprintf("%v/%v", eng, est), func(t *testing.T) {
-				cfg := equivConfig()
-				cfg.Scheduler = SchedulerConfig{Policy: PolicyProportional, NoMinCores: true}
+				cfg := autoscaleEquivConfig()
 				cfg.Engine = eng
 				cfg.TailEstimator = est
-				cfg.Autoscale = AutoscaleConfig{
-					Policy: AutoscaleUtil, MinServers: 1,
-					Custom: windowScale(func(w int) int {
-						switch {
-						case w >= 2 && w < 5: // park two servers mid-horizon
-							return 1
-						default:
-							return 3
-						}
-					}),
-				}
-				cfg.Workers = 1
-				cfg.noCoalesce = true
-				ref, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref.ParkedCoreWindows == 0 {
+				if ref := checkWalkMatchesReference(t, cfg); ref.ParkedCoreWindows == 0 {
 					t.Fatal("autoscaler parked nothing; the split scenario is vacuous")
-				}
-				for _, workers := range []int{1, 5, 16} {
-					ccfg := cfg
-					ccfg.Workers = workers
-					ccfg.noCoalesce = false
-					got, err := Run(ccfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(ref, got) {
-						t.Fatalf("coalesced autoscale run (%d workers) diverged from reference", workers)
-					}
 				}
 			})
 		}
 	}
 }
 
-// TestCohortDiscreteEngineUnaffected: the discrete engine has no steady
-// spans to coalesce and must keep running the reference path — reporting
-// no cohort or analytic core-windows — whatever the flag says.
+// TestCohortClassTableBound: the class table never outgrows nCores +
+// len(clients) slots — one per core plus one emptied cold-start class per
+// client awaiting the sweep — so the walk allocates its table once. A
+// feedback run with handovers plus an autoscale park/unpark drives the
+// departures, handovers and forks that would push an emptied class past
+// the bound if slots were only reclaimed at the sweep.
+func TestCohortClassTableBound(t *testing.T) {
+	for _, eng := range []Engine{EngineDiscrete, EngineAuto} {
+		t.Run(eng.String(), func(t *testing.T) {
+			cfg := autoscaleEquivConfig()
+			cfg.Scheduler = SchedulerConfig{Policy: PolicyFeedback}
+			cfg.Engine = eng
+			cfg.Workers = 2
+			peak := 0
+			res, err := run(cfg, func(e *engine, w int, asg Assignment) error {
+				bound := e.nCores + len(e.targets)
+				if err := e.walkWindow(w, asg); err != nil {
+					return err
+				}
+				if len(e.classes) > bound || cap(e.classes) != bound {
+					t.Errorf("window %d: class table len %d cap %d, bound %d", w, len(e.classes), cap(e.classes), bound)
+				}
+				peak = max(peak, len(e.classes))
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Migrations == 0 || res.ParkedCoreWindows == 0 {
+				t.Fatalf("migrations %d, parked core-windows %d: the bound scenario is vacuous",
+					res.Migrations, res.ParkedCoreWindows)
+			}
+			t.Logf("peak class table %d of %d slots", peak, res.Cores+len(cfg.Traffic.Clients))
+		})
+	}
+}
+
+// TestCohortDiscreteEngineUnaffected: under the discrete engine the walk
+// coalesces only zero-rate windows, which no engine simulates, so it
+// reports no cohort or analytic core-windows and never touches the solver.
 func TestCohortDiscreteEngineUnaffected(t *testing.T) {
 	cfg := equivConfig()
 	res, err := Run(cfg)
@@ -155,8 +278,9 @@ func TestCohortDiscreteEngineUnaffected(t *testing.T) {
 
 // TestCohortSolveCounter: AnalyticSolves counts distinct solved keys —
 // strictly positive whenever analytic windows were answered, no larger
-// than the analytic core-window count, and identical across paths (the
-// DeepEqual suites above already pin the latter; this pins the bounds).
+// than the analytic core-window count, and identical to the reference's
+// (the DeepEqual suites above already pin the latter; this pins the
+// bounds).
 func TestCohortSolveCounter(t *testing.T) {
 	cfg := equivConfig()
 	cfg.Engine = EngineAuto

@@ -1,12 +1,13 @@
-// Engine selection: the fluid fast path. A steady core-window — stationary
-// arrival rate, settled controller mode, no migration cold-start, no burst
-// or surge turbulence — is fully described by its queueing equilibrium, so
-// the engine can answer it with queueing.AnalyticTail instead of simulating
-// hundreds of discrete requests. At fleet scale almost every core-window is
-// steady (a diurnal fleet spends its life cruising between rate plateaus),
-// which is what turns a 1M-core × 24h day from hours of event simulation
-// into seconds of closed-form evaluation plus a residue of genuinely
-// transitional windows on the discrete path.
+// Engine selection: the analytic fast path. A steady core-window —
+// stationary arrival rate, settled controller mode, no migration
+// cold-start, no burst or surge turbulence — is fully described by its
+// queueing equilibrium, so the engine can answer it with
+// queueing.AnalyticTail instead of simulating hundreds of discrete
+// requests. At fleet scale almost every core-window is steady (a diurnal
+// fleet spends its life cruising between rate plateaus), which is what
+// turns a 1M-core × 24h day from hours of event simulation into seconds of
+// closed-form evaluation plus a residue of genuinely transitional windows
+// on the discrete path.
 package fleet
 
 import (
@@ -25,11 +26,6 @@ const (
 	// queueing simulator — the default, byte-identical to all results
 	// predating the engine selector.
 	EngineDiscrete Engine = iota
-	// EngineFluid forces the analytic solver wherever it is sound
-	// (utilization under the analytic ceiling, service within the
-	// solver's structural caps) and falls back to the discrete simulator
-	// only where it is not.
-	EngineFluid
 	// EngineAuto classifies each (core, window): steady windows take the
 	// analytic fast path, transitional windows — mode switch, migration
 	// cold-start, burst or surge turbulence, utilization above the guard
@@ -42,8 +38,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineDiscrete:
 		return "discrete"
-	case EngineFluid:
-		return "fluid"
 	case EngineAuto:
 		return "auto"
 	default:
@@ -54,23 +48,21 @@ func (e Engine) String() string {
 // Validate rejects unknown engine values.
 func (e Engine) Validate() error {
 	switch e {
-	case EngineDiscrete, EngineFluid, EngineAuto:
+	case EngineDiscrete, EngineAuto:
 		return nil
 	}
 	return fmt.Errorf("fleet: unknown engine %d", int(e))
 }
 
-// ParseEngine resolves an engine name (discrete|fluid|auto).
+// ParseEngine resolves an engine name (discrete|auto).
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "discrete":
 		return EngineDiscrete, nil
-	case "fluid":
-		return EngineFluid, nil
 	case "auto":
 		return EngineAuto, nil
 	}
-	return 0, fmt.Errorf("fleet: unknown engine %q (discrete|fluid|auto)", s)
+	return 0, fmt.Errorf("fleet: unknown engine %q (discrete|auto)", s)
 }
 
 // autoSteadyMaxUtil is the auto engine's guard band: at or below this

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"stretch/internal/loadgen"
@@ -15,8 +16,8 @@ func TestEngineParse(t *testing.T) {
 	}{
 		{"", EngineDiscrete, true},
 		{"discrete", EngineDiscrete, true},
-		{"fluid", EngineFluid, true},
 		{"auto", EngineAuto, true},
+		{"fluid", 0, false},
 		{"nope", 0, false},
 		{"Auto", 0, false},
 	}
@@ -29,8 +30,11 @@ func TestEngineParse(t *testing.T) {
 	if err := Engine(99).Validate(); err == nil {
 		t.Error("Engine(99) validated")
 	}
-	if got := EngineFluid.String(); got != "fluid" {
-		t.Errorf("EngineFluid.String() = %q", got)
+	if _, err := ParseEngine("fluid"); err == nil || !strings.Contains(err.Error(), "(discrete|auto)") {
+		t.Errorf("ParseEngine(\"fluid\") error %v does not list discrete|auto", err)
+	}
+	if got := EngineAuto.String(); got != "auto" {
+		t.Errorf("EngineAuto.String() = %q", got)
 	}
 }
 
@@ -101,8 +105,9 @@ func TestFleetAutoClassifier(t *testing.T) {
 		t.Fatalf("%d analytic core-windows exceeds the %d cold-start ceiling", auto.AnalyticCoreWindows, max)
 	}
 
-	// A recurring burst keeps its windows discrete even under fluid-eligible
-	// load: bursty windows must never be answered analytically.
+	// A recurring burst keeps its windows discrete even under
+	// analytic-eligible load: bursty windows must never be answered
+	// analytically.
 	burst := autoLoadConfig()
 	burst.Traffic.Clients[0].Spec.Shape = loadgen.Burst{
 		Base:  loadgen.Constant{Rate: 280 * 8},
@@ -123,25 +128,5 @@ func TestFleetAutoClassifier(t *testing.T) {
 	}
 	if max := auto.Cores * (burst.Traffic.Windows - unsteady - 1); bres.AnalyticCoreWindows > max {
 		t.Fatalf("%d analytic core-windows exceeds the %d steady-window ceiling", bres.AnalyticCoreWindows, max)
-	}
-}
-
-// TestFleetFluidForcesAnalytic: the fluid engine answers every sound
-// serving window analytically — only the utilization ceiling and solver
-// refusals fall back — so on an in-envelope constant load the analytic
-// share must be total.
-func TestFleetFluidForcesAnalytic(t *testing.T) {
-	cfg := lowLoadConfig()
-	cfg.Engine = EngineFluid
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serving := res.Cores*cfg.Traffic.Windows - res.DrainedCoreWindows - res.ParkedCoreWindows - res.IdleCoreWindows
-	if res.AnalyticCoreWindows != serving {
-		t.Fatalf("fluid answered %d of %d serving core-windows analytically", res.AnalyticCoreWindows, serving)
-	}
-	if res.Clients[0].P99Ms <= 0 {
-		t.Fatalf("fluid run produced no tail: %+v", res.Clients[0])
 	}
 }

@@ -58,7 +58,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -132,9 +131,9 @@ type Config struct {
 
 	// Engine selects how per-core window tails are computed: the discrete
 	// event-level simulator (the zero value — byte-identical to all
-	// pre-engine results), the analytic fluid fast path wherever sound, or
-	// the per-window auto classifier that keeps transitional windows on
-	// the discrete path. See engine.go.
+	// pre-engine results) or the per-window auto classifier, which answers
+	// steady windows analytically and keeps transitional windows on the
+	// discrete path. See engine.go.
 	Engine Engine
 
 	// Scheduler selects the core-allocation and load-routing policy; the
@@ -165,14 +164,6 @@ type Config struct {
 	// surges, per-server performance generations. The zero value is an
 	// uneventful run.
 	Scenario loadgen.Scenario
-
-	// noCoalesce forces the reference per-core execution path under the
-	// fluid/auto engines, where the cohort-coalesced path (cohort.go) is
-	// otherwise the default. Unexported: the equivalence suite sets it
-	// directly, external callers reach it through the STRETCH_NO_COALESCE
-	// environment variable. The two paths produce DeepEqual Results by
-	// contract; the discrete engine always runs the reference path.
-	noCoalesce bool
 }
 
 // Validate rejects unusable configurations.
@@ -182,6 +173,9 @@ func (c Config) Validate() error {
 	}
 	if err := c.Traffic.Validate(); err != nil {
 		return err
+	}
+	if len(c.Traffic.Clients) > math.MaxInt16 {
+		return fmt.Errorf("fleet: %d clients exceed the limit of %d", len(c.Traffic.Clients), math.MaxInt16)
 	}
 	if len(c.Traffic.Clients) > c.Servers*c.CoresPerServer {
 		return fmt.Errorf("fleet: %d clients need at least as many cores (have %d)",
@@ -347,12 +341,10 @@ type WindowObservation struct {
 	// AnalyticCores counts cores whose window was answered by the
 	// analytic fast path (always zero under the discrete engine).
 	AnalyticCores int
-	// CohortCores counts cores whose window the cohort-coalesced path
-	// answers without per-core work — analytically solved or zero-rate
-	// windows. Computed from the same shared classification state on both
-	// execution paths (so a reference-path run reports what the coalesced
-	// run would coalesce, keeping the paths DeepEqual); always zero under
-	// the discrete engine.
+	// CohortCores counts cores whose window the auto engine's walk answers
+	// without per-core work — analytically solved or zero-rate windows.
+	// Always zero under the discrete engine, whose walk coalesces only the
+	// zero-rate windows no engine simulates.
 	CohortCores int
 }
 
@@ -370,7 +362,7 @@ type Result struct {
 	TailEstimator stats.TailEstimator
 	// Engine echoes the engine the run used; AnalyticCoreWindows counts
 	// the core-windows it answered analytically (zero under discrete —
-	// and the fraction of the horizon the fluid fast path absorbed
+	// and the fraction of the horizon the analytic fast path absorbed
 	// otherwise, which is what the speedup is proportional to).
 	Engine              Engine
 	AnalyticCoreWindows int
@@ -382,9 +374,8 @@ type Result struct {
 	// thrashing (re-solving an evicted key recounts it).
 	AnalyticSolves int
 	// CohortCoreWindows sums WindowObservation.CohortCores over the
-	// horizon: core-windows the cohort-coalesced path answers without
-	// per-core simulation (zero under the discrete engine; see
-	// WindowObservation.CohortCores for the both-paths contract).
+	// horizon: core-windows the auto engine answers without per-core
+	// simulation (zero under the discrete engine).
 	CohortCoreWindows int
 	// CalibrationHash is the content hash of the calibration table the run
 	// used; empty means the uniform-scalar fallback.
@@ -443,20 +434,6 @@ type Result struct {
 	DecisionTrace []DecisionRecord
 }
 
-// coreState is one core's persistent execution state: its controller (and
-// the client it was built for) survives across windows instead of being
-// rebuilt per core-walk; it resets only when the scheduler hands the core
-// to a different client — a handed-over core is a cold start. The
-// controller is held by value and reinitialised in place, so a fleet of N
-// cores pays no per-controller heap allocations.
-type coreState struct {
-	ctl      monitor.Controller
-	hasCtl   bool  // ctl has been initialised at least once
-	prev     int16 // client the controller was built for (-4: none yet)
-	lastMode int8  // mode of the previous served window (-1: cold start)
-	switches uint64
-}
-
 // engine is one run's window-major execution state. Per-core-per-window
 // records are kept flat (core-major: index core×windows+window) so the
 // final aggregation can replay the exact accumulation order of the former
@@ -480,10 +457,12 @@ type engine struct {
 	qcfgs   []queueing.Config
 	perf    []float64
 	streams []rng.Stream
-	// states carries the reference path's per-core controllers; nil under
-	// the cohort-coalesced path, which tracks controllers in equivalence
-	// classes instead (classOf/classes below).
-	states []coreState
+
+	// pool and sims run the discrete residue: one persistent pool for the
+	// whole horizon and one reusable Simulator per worker, whose queueing
+	// heaps and sample buffers live across every window.
+	pool *workerPool
+	sims []*queueing.Simulator
 
 	// solveCache is the lock-striped analytic solve cache shared by every
 	// worker and the counterfactual evaluator (the solver is pure, so
@@ -493,23 +472,19 @@ type engine struct {
 	solveCache *queueing.TailCache
 	solves     atomic.Int64
 
-	// Cohort-coalesced execution state (cohort.go); allocated only when
-	// coalesce is set. classOf maps each core to its controller-
-	// equivalence class in classes (−1: none), swBase banks switch counts
-	// a core accrued in classes it has left, and freshFor/mergeMap/
-	// worklist/retired are per-window scratch for the span walk. Under the
-	// histogram estimator cohortShard collects the coalesced AddN deposits
-	// for the barrier merge.
-	coalesce    bool
-	classOf     []int32
-	classes     []cohortClass
-	freeClass   []int32
-	retired     []int32
-	swBase      []uint64
-	mergeMap    map[mergeKey]int32
-	freshFor    []int32
-	worklist    []workItem
-	cohortShard []*stats.Histogram
+	// Window-walk state (cohort.go). classOf maps each core to its
+	// controller-equivalence class in classes (−1: none), swBase banks
+	// switch counts a core accrued in classes it has left, and
+	// freshFor/mergeMap/worklist/retired are per-window scratch for the
+	// span walk.
+	classOf   []int32
+	classes   []cohortClass
+	freeClass []int32
+	retired   []int32
+	swBase    []uint64
+	mergeMap  map[mergeKey]int32
+	freshFor  []int32
+	worklist  []workItem
 
 	// Counterfactual evaluator state (decision.go), wired by
 	// initCounterfactual when Config.CounterfactualK > 0: a dedicated
@@ -523,15 +498,15 @@ type engine struct {
 	cfCache         map[cfKey]float64
 	cfLoad          []float64
 
-	// Fluid fast-path classification inputs, resolved once per run:
+	// Auto-engine classification inputs, resolved once per run:
 	// utilCoef[ci] turns a per-core rate into a utilization (util =
-	// rate·utilCoef/perf), fluidOK[ci] records whether the client's
+	// rate·utilCoef/perf), analyticOK[ci] records whether the client's
 	// service is inside the analytic solver's structural caps, and
 	// unsteady[ci][w] flags windows with burst or surge turbulence, which
 	// auto keeps on the discrete path.
-	utilCoef []float64
-	fluidOK  []bool
-	unsteady [][]bool
+	utilCoef   []float64
+	analyticOK []bool
+	unsteady   [][]bool
 
 	tails    []float64
 	batchRel []float64
@@ -558,7 +533,14 @@ type engine struct {
 }
 
 // Run simulates the fleet over the traffic horizon.
-func Run(cfg Config) (Result, error) {
+func Run(cfg Config) (Result, error) { return run(cfg, (*engine).walkWindow) }
+
+// run is Run with the per-window execution step as a parameter: step
+// fills window w's per-core records, controllers and histogram shards
+// for the plan asg, behind which run observes the window. Production
+// always passes walkWindow; the equivalence suite substitutes an
+// independent per-core reference.
+func run(cfg Config, step func(e *engine, w int, asg Assignment) error) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -658,25 +640,12 @@ func Run(cfg Config) (Result, error) {
 		client:       make([]int16, nCores*windows),
 		errs:         make([]error, nCores),
 	}
-	// The cohort-coalesced path is the default under the fluid/auto
-	// engines; the discrete engine always runs the reference per-core
-	// path (it has no steady spans to coalesce), as does any run opting
-	// out for an equivalence check.
-	e.coalesce = cfg.Engine != EngineDiscrete && !cfg.noCoalesce &&
-		os.Getenv("STRETCH_NO_COALESCE") == ""
-	if e.coalesce {
-		e.initCohorts(n)
-	} else {
-		e.states = make([]coreState, nCores)
-	}
+	e.initCohorts(n)
 	for c := 0; c < nCores; c++ {
 		e.perf[c] = perfGen[c/cfg.CoresPerServer]
 		e.streams[c] = *root.Derive(uint64(c))
-		if e.states != nil {
-			e.states[c] = coreState{prev: -4, lastMode: -1} // matches no client and no sentinel
-		}
 	}
-	if cfg.Engine != EngineDiscrete {
+	if cfg.Engine == EngineAuto {
 		e.solveCache = queueing.NewTailCache(analyticCacheLimit)
 		// Resolve the classification inputs: per-client utilization
 		// coefficients, structural solver feasibility (probed once at a
@@ -685,7 +654,7 @@ func Run(cfg Config) (Result, error) {
 		// traffic shapes and scenario surges.
 		e.analytic = make([]bool, nCores*windows)
 		e.utilCoef = make([]float64, n)
-		e.fluidOK = make([]bool, n)
+		e.analyticOK = make([]bool, n)
 		e.unsteady = make([][]bool, n)
 		names := make([]string, n)
 		for ci, cl := range cfg.Traffic.Clients {
@@ -696,7 +665,7 @@ func Run(cfg Config) (Result, error) {
 			e.utilCoef[ci] = queueing.Utilization(qcfgs[ci], 1, 1)
 			if e.utilCoef[ci] > 0 && !math.IsInf(e.utilCoef[ci], 0) {
 				_, err := queueing.Analytic(qcfgs[ci], 0.1/e.utilCoef[ci], 1)
-				e.fluidOK[ci] = err == nil
+				e.analyticOK[ci] = err == nil
 			}
 			e.unsteady[ci] = make([]bool, windows)
 			for w := 0; w < windows; w++ {
@@ -716,20 +685,13 @@ func Run(cfg Config) (Result, error) {
 	if workers > nCores {
 		workers = nCores
 	}
-	// One reusable Simulator per worker: the queueing heaps and sample
-	// buffers live across the whole horizon. Analytic solves under the
-	// fluid/auto engines go through the shared striped cache wired above.
-	sims := make([]*queueing.Simulator, workers)
-	for i := range sims {
-		sims[i] = new(queueing.Simulator)
+	e.sims = make([]*queueing.Simulator, workers)
+	for i := range e.sims {
+		e.sims[i] = new(queueing.Simulator)
 	}
+	e.pool = newWorkerPool(workers)
+	defer e.pool.close()
 	if est == stats.EstimatorHistogram {
-		if e.coalesce {
-			e.cohortShard = make([]*stats.Histogram, n)
-			for ci := range e.cohortShard {
-				e.cohortShard[ci] = stats.NewTailHistogram()
-			}
-		}
 		e.shards = make([][]*stats.Histogram, workers)
 		for wk := range e.shards {
 			e.shards[wk] = make([]*stats.Histogram, n)
@@ -760,11 +722,6 @@ func Run(cfg Config) (Result, error) {
 		decTrace = make([]DecisionRecord, 0, windows)
 	}
 
-	// One persistent pool for the whole horizon — the former per-window
-	// spawn loop burned workers × windows goroutine creations per run.
-	pool := newWorkerPool(workers)
-	defer pool.close()
-
 	for w := 0; w < windows; w++ {
 		asg := st.Step(w, obs)
 		if tracer != nil {
@@ -781,49 +738,9 @@ func Run(cfg Config) (Result, error) {
 			decTrace = append(decTrace, *rec)
 		}
 
-		// Simulate the window, then barrier before observing. The
-		// coalesced path answers steady cohorts serially in the span walk
-		// and hands only the discrete residue to the pool; the reference
-		// path shards every core across the pool. Both claim work in
-		// blocks of claimChunk instead of one atomic per unit.
-		work := nCores
-		if e.coalesce {
-			e.coalesceWindow(w, asg)
-			work = len(e.worklist)
-		}
-		if work > 0 {
-			var next atomic.Int64
-			pool.run(workers, func(wk int) {
-				sim := sims[wk]
-				var shard []*stats.Histogram
-				if e.shards != nil {
-					shard = e.shards[wk]
-				}
-				for {
-					lo := int(next.Add(claimChunk)) - claimChunk
-					if lo >= work {
-						return
-					}
-					hi := lo + claimChunk
-					if hi > work {
-						hi = work
-					}
-					if e.coalesce {
-						for _, it := range e.worklist[lo:hi] {
-							e.runWorkItem(it, w, sim, shard)
-						}
-					} else {
-						for c := lo; c < hi; c++ {
-							e.stepCore(c, w, asg, sim, shard)
-						}
-					}
-				}
-			})
-		}
-		for c := 0; c < nCores; c++ {
-			if e.errs[c] != nil {
-				return Result{}, e.errs[c]
-			}
+		// Simulate the window, then barrier before observing.
+		if err := step(e, w, asg); err != nil {
+			return Result{}, err
 		}
 
 		o := e.observe(w, asg)
@@ -920,21 +837,12 @@ func Run(cfg Config) (Result, error) {
 			cm.BatchCoreHoursGained += (e.batchRel[idx] - 1) * windowHours
 			res.BatchCoreHoursGained += (e.batchRel[idx] - 1) * windowHours
 		}
-		var sw uint64
-		if e.states != nil {
-			sw = e.states[c].switches
-			if st := &e.states[c]; st.hasCtl {
-				sw += st.ctl.Switches()
-			}
-		} else {
-			// Coalesced accounting: switches banked when the core left
-			// past classes, plus its current class's live count.
-			sw = e.swBase[c]
-			if k := e.classOf[c]; k >= 0 {
-				sw += e.classes[k].ctl.Switches()
-			}
+		// Switches banked when the core left past classes, plus its
+		// current class's live count.
+		res.Switches += e.swBase[c]
+		if k := e.classOf[c]; k >= 0 {
+			res.Switches += e.classes[k].ctl.Switches()
 		}
-		res.Switches += sw
 	}
 	for ci := range cms {
 		// A client squeezed to zero core-windows has an empty sample or
@@ -972,117 +880,6 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// stepCore advances one SMT core through one window: resolve the window's
-// tail — analytically when the engine classifies the (core, window) steady,
-// through the event-level simulator otherwise — at the engaged mode's perf
-// factor (scaled by the server's generation and any migration penalty),
-// feed the measured tail to the core's persistent controller, credit the
-// batch thread, and — under the histogram estimator — record the tail into
-// the worker's per-client shard for the barrier merge.
-func (e *engine) stepCore(c, w int, asg Assignment, sim *queueing.Simulator, shard []*stats.Histogram) {
-	idx := c*e.windows + w
-	ci := asg.Client[c]
-	e.client[idx] = ci
-	st := &e.states[c]
-	if ci < 0 {
-		e.tails[idx] = math.NaN()
-		if ci == coreIdle {
-			// An in-service core with no LS client runs batch exactly
-			// as the equal-partitioning baseline would: no gain.
-			e.batchRel[idx] = 1
-		}
-		st.prev = ci
-		return
-	}
-	if ci != st.prev {
-		if st.hasCtl {
-			st.switches += st.ctl.Switches()
-		}
-		if err := st.ctl.Reset(e.monCfg(e.targets[ci])); err != nil {
-			e.errs[c] = err
-			return
-		}
-		st.hasCtl = true
-		st.prev = ci
-		st.lastMode = -1 // cold start: auto keeps the first window discrete
-	}
-	mode := st.ctl.Mode()
-	perf := e.perf[c]
-	// The engaged mode's calibrated LS delta: positive slows the service
-	// (B-mode), negative speeds it up (a calibrated Q-mode cell). Guarded
-	// so disengaged modes multiply nothing and stay bit-identical to the
-	// pre-calibration arithmetic.
-	if s := e.lsSlowMode[ci][mode]; s != 0 {
-		perf *= 1 - s
-	}
-	if asg.Migrated[c] {
-		perf *= 1 - e.migPenalty
-	}
-	var tail float64
-	if rate := asg.Rate[c]; rate > 0 {
-		// Engine classification. Fluid takes the analytic path wherever it
-		// is sound; auto additionally demands a steady window — settled
-		// mode, no migration cold-start, no burst/surge turbulence, and
-		// utilization inside the guard band. A solver refusal falls back
-		// to the discrete path, never errors the run.
-		solved := false
-		if e.engineSel != EngineDiscrete && e.fluidOK[ci] {
-			util := rate * e.utilCoef[ci] / perf
-			steady := false
-			if e.engineSel == EngineFluid {
-				steady = util < queueing.AnalyticMaxUtilization
-			} else {
-				steady = util <= autoSteadyMaxUtil && int8(mode) == st.lastMode &&
-					!asg.Migrated[c] && !e.unsteady[ci][w]
-			}
-			if steady {
-				if t, ok := e.analyticTail(ci, rate, perf); ok {
-					tail = t
-					e.analytic[idx] = true
-					solved = true
-				}
-			}
-		}
-		if !solved {
-			seed := e.streams[c].Derive(uint64(w)).Uint64()
-			if err := sim.Reset(e.qcfgs[ci]); err != nil {
-				e.errs[c] = err
-				return
-			}
-			qr, err := sim.Simulate(rate, e.windowReq, perf, seed)
-			if err != nil {
-				e.errs[c] = err
-				return
-			}
-			tail = qr.QoSMs
-		}
-	}
-	// An idle window — a Poisson draw of zero arrivals, or a window the
-	// scheduler routed no load to — skips the queueing simulation entirely
-	// and reads as zero tail: maximal slack. This is deliberate: a core
-	// with nothing to serve cannot violate its target, its controller sees
-	// the deepest possible headroom (driving it toward B-mode), and the
-	// zero is recorded like any other tail under both estimators — it
-	// lands in the exact samples and in the histogram shard's bottom
-	// bucket alike, so idle windows pull the measured quantiles down
-	// rather than being silently dropped.
-	e.tails[idx] = tail
-	if shard != nil {
-		shard[ci].Add(tail)
-	}
-	if mode == core.ModeB {
-		e.modeB[idx] = true
-	}
-	if mode == core.ModeB && asg.Migrated[c] && e.migPenalty > 0 {
-		// Warming the new client's working set eats the bonus.
-		e.batchRel[idx] = 1
-	} else {
-		e.batchRel[idx] = e.batchRelMode[ci][mode]
-	}
-	st.lastMode = int8(mode)
-	st.ctl.Observe(monitor.Observation{TailMs: tail})
-}
-
 // observe collects the window's measurements behind the barrier, in core
 // order, into the observation record the scheduler sees next window. One
 // pass over the fleet fills the per-client aggregates and tail samples.
@@ -1117,22 +914,19 @@ func (e *engine) observe(w int, asg Assignment) WindowObservation {
 				o.BCores++
 			}
 			co.BatchRel += e.batchRel[idx]
-			// A coalesced class's members share their controller's exact
-			// observation history, so the class Slack IS each member's
-			// Slack — the sum is bit-identical to the per-core path's.
-			if e.states != nil {
-				co.MeanSlack += e.states[c].ctl.Slack()
-			} else {
-				co.MeanSlack += e.classes[e.classOf[c]].ctl.Slack()
-			}
+			// A class's members share their controller's exact observation
+			// history, so the class Slack IS each member's Slack.
+			co.MeanSlack += e.classes[e.classOf[c]].ctl.Slack()
 			if asg.Migrated[c] {
 				o.Migrations++
 			}
-			if e.analytic != nil && e.analytic[idx] {
-				o.AnalyticCores++
-			}
-			if e.engineSel != EngineDiscrete && (e.analytic[idx] || asg.Rate[c] == 0) {
-				o.CohortCores++
+			if e.analytic != nil { // auto engine only
+				if e.analytic[idx] {
+					o.AnalyticCores++
+				}
+				if e.analytic[idx] || asg.Rate[c] == 0 {
+					o.CohortCores++
+				}
 			}
 			if e.winSamples != nil {
 				e.winSamples[cl].Add(t)
@@ -1146,15 +940,6 @@ func (e *engine) observe(w int, asg Assignment) WindowObservation {
 		// cleared shards back to the next window.
 		for _, shard := range e.shards {
 			for ci, h := range shard {
-				e.winHists[ci].Merge(h)
-				h.Reset()
-			}
-		}
-		if e.cohortShard != nil {
-			// The coalesced AddN deposits merge like one more worker
-			// shard: integer counts, so placement in the merge order
-			// cannot perturb the histograms.
-			for ci, h := range e.cohortShard {
 				e.winHists[ci].Merge(h)
 				h.Reset()
 			}

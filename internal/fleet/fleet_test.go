@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -264,6 +265,17 @@ func TestFleetValidation(t *testing.T) {
 			c.Servers = 1
 			c.CoresPerServer = 1
 			c.Traffic.Clients = append(c.Traffic.Clients, loadgen.Client{Name: "x", Service: workload.WebSearch, Fraction: 0.0001, Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 1}}})
+		},
+		// One client past the int16 client index, with a core for each so
+		// the clients-need-cores check cannot catch it first.
+		func(c *Config) {
+			n := math.MaxInt16 + 1
+			c.Servers, c.CoresPerServer = n, 1
+			c.Traffic.Clients = make([]loadgen.Client, n)
+			for i := range c.Traffic.Clients {
+				c.Traffic.Clients[i] = loadgen.Client{Name: fmt.Sprint("c", i), Service: workload.WebSearch,
+					Fraction: 1 / float64(n), Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 1}}}
+			}
 		},
 	}
 	for i, mutate := range bad {

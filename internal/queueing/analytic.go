@@ -1,5 +1,4 @@
-// Analytic is the fluid fast path behind the fleet engine's Engine
-// selector: a closed-form steady-state solution of the same bursty M/G/k
+// Analytic is the analytic fast path behind the fleet's auto engine: a closed-form steady-state solution of the same bursty M/G/k
 // system Simulate realises event by event. It exists because a steady
 // window — stationary arrival rate, fixed mode, no warm-up — is fully
 // described by its queueing equilibrium, so simulating hundreds of
@@ -41,7 +40,7 @@ const (
 	// AnalyticMaxUtilization is the soundness ceiling of the closed-form
 	// solver: above it the heavy-traffic approximations degrade and the
 	// equilibrium itself takes longer than a window to reach, so callers
-	// (the fleet's fluid/auto engines) must keep the discrete simulator.
+	// (the fleet's auto engine) must keep the discrete simulator.
 	AnalyticMaxUtilization = 0.95
 	// maxAnalyticWorkers bounds the Erlang busy-distribution recurrence:
 	// beyond it the a^i/i! terms approach float64 overflow and the O(k)

@@ -34,8 +34,8 @@ func rateAtUtil(cfg Config, rho, perf float64) float64 {
 	return rho * float64(cfg.Workers) / (cfg.MeanServiceMs / perf) * 1000 / eg
 }
 
-// TestAnalyticMatchesDiscrete pins the accuracy contract of the fluid fast
-// path: across the full service catalogue and the utilization range the
+// TestAnalyticMatchesDiscrete pins the accuracy contract of the analytic
+// fast path: across the full service catalogue and the utilization range the
 // fleet's auto classifier routes to the solver, the analytic mean sojourn
 // time and QoS-quantile tail stay within a documented envelope of a
 // long discrete simulation. The envelope is deliberately wider than the
@@ -143,7 +143,7 @@ func TestUtilization(t *testing.T) {
 }
 
 // BenchmarkAnalyticTail prices one cold analytic solve — the unit the
-// fleet engine's per-worker solve cache amortises. The fluid fast path
+// fleet engine's per-worker solve cache amortises. The analytic fast path
 // only wins when (cache hits × discrete window cost) outruns
 // (distinct keys × this number), so keep it well under a millisecond:
 // the monotone atom-to-bucket merge walk in depositAnalytic exists

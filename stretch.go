@@ -411,26 +411,22 @@ const (
 func ParseTailEstimator(s string) (TailEstimator, error) { return stats.ParseTailEstimator(s) }
 
 // EngineMode selects how the fleet computes per-core window tails: the
-// discrete event-level simulator, the analytic fluid fast path, or the
-// per-window auto classifier.
+// discrete event-level simulator or the per-window auto classifier.
 type EngineMode = fleet.Engine
 
 // Engine modes. EngineDiscrete (the default) simulates every core-window
 // event by event and is byte-identical to all pre-engine results.
-// EngineFluid answers every sound core-window from the closed-form
-// steady-state solver, falling back to the simulator outside the solver's
-// envelope. EngineAuto classifies per (core, window): steady windows take
-// the analytic fast path, transitional ones — mode switches, migration
-// cold-starts, bursts, surges, utilization above the guard band — keep
-// full discrete fidelity, which is what makes 1M-core × 24h fleet days
-// tractable without giving up event-level accuracy where it matters.
+// EngineAuto classifies per (core, window): steady windows take the
+// closed-form analytic fast path, transitional ones — mode switches,
+// migration cold-starts, bursts, surges, utilization above the guard band
+// — keep full discrete fidelity, which is what makes 1M-core × 24h fleet
+// days tractable without giving up event-level accuracy where it matters.
 const (
 	EngineDiscrete = fleet.EngineDiscrete
-	EngineFluid    = fleet.EngineFluid
 	EngineAuto     = fleet.EngineAuto
 )
 
-// ParseEngineMode resolves an engine name (discrete|fluid|auto).
+// ParseEngineMode resolves an engine name (discrete|auto).
 func ParseEngineMode(s string) (EngineMode, error) { return fleet.ParseEngine(s) }
 
 // FleetWindowObservation is one window's measured fleet record: the
