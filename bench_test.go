@@ -305,6 +305,86 @@ func BenchmarkPlanCapacity(b *testing.B) {
 	}
 }
 
+// searchBenchConfig is the `stretchsim search` run shape: 4×4 cores at
+// 150 requests per core-window, serving a strict-SLO diurnal search client
+// and a ramping kvstore at fractions of their peak per-core rates, over
+// windows windows of windowSec seconds with one diurnal cycle per
+// windowsPerDay windows.
+func searchBenchConfig(b *testing.B, windows, windowsPerDay int, windowSec float64) FleetConfig {
+	b.Helper()
+	const nCores = 16
+	peak := map[string]float64{}
+	for _, svc := range []string{WebSearch, DataServing} {
+		p, err := PeakRPSPerCore(svc, 4000, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		peak[svc] = p
+	}
+	return FleetConfig{
+		Servers: 4, CoresPerServer: 4,
+		Traffic: Traffic{
+			Windows: windows, WindowSec: windowSec,
+			Clients: []TrafficClient{
+				{
+					Name: "search", Service: WebSearch, Fraction: 0.6, SLO: SLOStrict,
+					Spec: ArrivalSpec{Shape: Diurnal{
+						HourLoad: WebSearchDay(), PeakRPS: peak[WebSearch] * nCores * 0.6,
+						Smooth: true, WindowsPerDay: windowsPerDay,
+					}, Poisson: true},
+				},
+				{
+					Name: "kvstore", Service: DataServing, Fraction: 0.4,
+					Spec: ArrivalSpec{Shape: Ramp{
+						StartRPS:  0.3 * peak[DataServing] * nCores * 0.4,
+						TargetRPS: 0.8 * peak[DataServing] * nCores * 0.4,
+					}, Poisson: true},
+				},
+			},
+		},
+		BatchSpeedupB: 0.13, LSSlowdownB: 0.07,
+		WindowRequests: 150, Seed: 1,
+	}
+}
+
+// BenchmarkSearchSchedulers guards the policy search end to end at the
+// `stretchsim search` shape: the 21-candidate grid over a synthesised
+// week trace (hourly windows) and a failover day (a drain, a redirected
+// search surge and an older server generation), 42 small fleet runs per
+// iteration. At 16 cores each window is a few dozen microseconds of
+// simulation, so this is where run set-up, the scheduler step, the window
+// barrier and the spread of runs over CPUs show.
+func BenchmarkSearchSchedulers(b *testing.B) {
+	week := searchBenchConfig(b, 7*24, 24, 3600)
+	tr, err := SynthTrace(TraceSynthSpec{Traffic: week.Traffic, Seed: week.Seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if week.Traffic, err = tr.Traffic(); err != nil {
+		b.Fatal(err)
+	}
+	day := searchBenchConfig(b, 96, 96, 900)
+	if day.Scenario, err = ParseFleetEvents("drain:32:0,restore:64:0,surge:32-64:search:1.3,perf:3:0.85"); err != nil {
+		b.Fatal(err)
+	}
+	suite := []FleetConfig{week, day}
+	cands := SearchGrid()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range suite {
+			suite[j].Seed = uint64(i + 1)
+		}
+		outs, err := SearchSchedulers(suite, cands, DefaultFitnessWeights())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(outs) != len(cands) {
+			b.Fatalf("%d outcomes for %d candidates", len(outs), len(cands))
+		}
+	}
+}
+
 // BenchmarkFleetTraceReplay1kCores guards the trace-replay path at fleet
 // scale: the 1008-core benchmark traffic is synthesised into a trace file
 // once (encode + strict re-parse outside the timer), then every iteration

@@ -68,3 +68,29 @@ func TestStrayArgumentRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestNegativeFleetWorkersRejected: a negative -fleet-workers is refused
+// by config validation in every fleet entry point, not silently read as
+// GOMAXPROCS.
+func TestNegativeFleetWorkersRejected(t *testing.T) {
+	const want = "fleet: negative Workers -3"
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"fleet", []string{"-fleet", "-servers", "2", "-cores", "4", "-fleet-workers", "-3"}},
+		{"plan", []string{"plan", "-trace", "testdata/week_mixed.trace.csv", "-cores", "4", "-fleet-workers", "-3"}},
+		{"search", []string{"search", "-traces", "failover", "-hours", "2", "-fleet-workers", "-3"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stderr := runStretchsim(t, tc.args...)
+			if code == 0 {
+				t.Fatalf("exit 0, want non-zero; stderr:\n%s", stderr)
+			}
+			if !strings.Contains(stderr, want) {
+				t.Fatalf("stderr %q does not contain %q", stderr, want)
+			}
+		})
+	}
+}

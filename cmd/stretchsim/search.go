@@ -140,7 +140,7 @@ func runSearch(args []string) {
 	fs.IntVar(&p.wph, "windows-per-hour", 4, "monitoring windows per hour for named specs")
 	fs.IntVar(&p.windowReq, "window-requests", 150, "simulated requests per core-window")
 	fs.Uint64Var(&p.seed, "seed", 1, "experiment seed")
-	fs.IntVar(&p.workers, "fleet-workers", 0, "goroutine pool size per run (0 = GOMAXPROCS)")
+	fs.IntVar(&p.workers, "fleet-workers", 0, "CPU budget of the whole sweep, split across concurrent runs (0 = GOMAXPROCS)")
 	fs.Float64Var(&p.bSpeedup, "b-speedup", 0.13, "measured B-mode batch speedup")
 	fs.Float64Var(&p.lsSlowdown, "ls-slowdown", 0.07, "measured B-mode LS slowdown")
 	parseFlags(fs, args)

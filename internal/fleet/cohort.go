@@ -53,11 +53,11 @@ import (
 	"stretch/internal/stats"
 )
 
-// claimChunk is the number of work units a pool worker claims per atomic
+// claimChunk caps the number of work units a pool worker claims per atomic
 // increment. One atomic per core made the claim counter the hottest cache
-// line in a million-core window; block claims amortise it 128×, and the
-// chunk is small enough that the tail imbalance (≤ chunk per worker) is
-// noise at every fleet size the benches run.
+// line in a million-core window; block claims amortise it 128×. The block
+// actually claimed is claimSize's: claimChunk on large windows, smaller
+// on small ones so no worker idles at the barrier.
 const claimChunk = 128
 
 // cohortClass is one controller-equivalence class: the controller value
@@ -92,22 +92,33 @@ type workItem struct {
 	rate, perf float64
 }
 
-// workerPool is the persistent pool the engine reuses across all windows —
-// the former per-window spawn loop created workers × windows goroutines
-// per run. Jobs are dispatched per window and joined on the pool's own
-// WaitGroup; the channel send/receive pairs give the race detector (and
-// the memory model) the happens-before edges the barrier needs.
+// claimSize is the block a worker claims from a worklist of work items
+// shared by workers: about eight blocks per worker, capped at claimChunk
+// and at least one item. A 16-core window on two workers thus splits
+// across both instead of landing whole in one worker's first claim, while
+// a million-core window still claims claimChunk items at a time.
+func claimSize(work, workers int) int {
+	return min(claimChunk, max(1, work/(8*workers)))
+}
+
+// workerPool is the persistent pool the engine reuses across all windows.
+// The caller's goroutine is worker 0: run calls fn(0) inline and hands
+// indices 1..n−1 to the n−1 helper goroutines over jobs, so a one-worker
+// pool starts no goroutine at all. The fn store before each send and the
+// WaitGroup join give the race detector (and the memory model) the
+// happens-before edges the barrier needs.
 type workerPool struct {
-	jobs chan func()
+	fn   func(wk int)
+	jobs chan int
 	wg   sync.WaitGroup
 }
 
 func newWorkerPool(n int) *workerPool {
-	p := &workerPool{jobs: make(chan func())}
-	for i := 0; i < n; i++ {
+	p := &workerPool{jobs: make(chan int, max(0, n-1))}
+	for i := 1; i < n; i++ {
 		go func() {
-			for fn := range p.jobs {
-				fn()
+			for wk := range p.jobs {
+				p.fn(wk)
 				p.wg.Done()
 			}
 		}()
@@ -115,13 +126,14 @@ func newWorkerPool(n int) *workerPool {
 	return p
 }
 
-// run dispatches fn(wk) for each worker index and blocks until all return.
+// run calls fn(wk) for each worker index and blocks until all return.
 func (p *workerPool) run(n int, fn func(wk int)) {
-	p.wg.Add(n)
-	for wk := 0; wk < n; wk++ {
-		wk := wk
-		p.jobs <- func() { fn(wk) }
+	p.fn = fn
+	p.wg.Add(n - 1)
+	for wk := 1; wk < n; wk++ {
+		p.jobs <- wk
 	}
+	fn(0)
 	p.wg.Wait()
 }
 
@@ -185,24 +197,26 @@ func (e *engine) leaveClass(c int, k int32, w int) {
 
 // walkWindow executes one window: the serial walk answers the coalesced
 // spans and queues the discrete residue, the pool simulates the residue,
-// claiming work in blocks of claimChunk, and the first per-core error in
-// core order is returned once the pool has joined.
+// claiming work in claimSize blocks, and the first per-core error in core
+// order is returned once the pool has joined.
 func (e *engine) walkWindow(w int, asg Assignment) error {
 	e.coalesceWindow(w, asg)
 	if work := len(e.worklist); work > 0 {
+		workers := len(e.sims)
+		chunk := claimSize(work, workers)
 		var next atomic.Int64
-		e.pool.run(len(e.sims), func(wk int) {
+		e.pool.run(workers, func(wk int) {
 			sim := e.sims[wk]
 			var shard []*stats.Histogram
 			if e.shards != nil {
 				shard = e.shards[wk]
 			}
 			for {
-				lo := int(next.Add(claimChunk)) - claimChunk
+				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= work {
 					return
 				}
-				for _, it := range e.worklist[lo:min(lo+claimChunk, work)] {
+				for _, it := range e.worklist[lo:min(lo+chunk, work)] {
 					e.runWorkItem(it, w, sim, shard)
 				}
 			}

@@ -300,3 +300,40 @@ func TestCohortSolveCounter(t *testing.T) {
 			res.CohortCoreWindows, res.AnalyticCoreWindows)
 	}
 }
+
+// TestClaimSize: a claim block is always 1..claimChunk items, small
+// windows split so every worker can claim at least one block, and large
+// windows keep the full claimChunk amortisation.
+func TestClaimSize(t *testing.T) {
+	cases := []struct {
+		work, workers, want int
+	}{
+		{1, 1, 1},
+		{1, 16, 1},
+		{16, 2, 1},
+		{16, 1, 2},
+		{100, 3, 4},
+		{1024, 1, 128},
+		{1024, 2, 64},
+		{4096, 2, 128},
+		{1 << 20, 16, claimChunk},
+		{1 << 20, 2, claimChunk},
+	}
+	for _, tc := range cases {
+		got := claimSize(tc.work, tc.workers)
+		if got != tc.want {
+			t.Errorf("claimSize(%d, %d) = %d, want %d", tc.work, tc.workers, got, tc.want)
+		}
+	}
+	for work := 1; work <= 5000; work += 7 {
+		for workers := 1; workers <= 64; workers++ {
+			c := claimSize(work, workers)
+			if c < 1 || c > claimChunk {
+				t.Fatalf("claimSize(%d, %d) = %d outside [1, %d]", work, workers, c, claimChunk)
+			}
+			if work >= workers && c*workers > work {
+				t.Fatalf("claimSize(%d, %d) = %d: some worker cannot claim a block", work, workers, c)
+			}
+		}
+	}
+}

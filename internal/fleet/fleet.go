@@ -103,8 +103,9 @@ type Config struct {
 	// steady state (default 800 when zero).
 	WindowRequests int
 
-	// Workers caps the goroutine pool (default GOMAXPROCS when zero).
-	// Results are independent of the worker count.
+	// Workers caps the goroutine pool (default GOMAXPROCS when zero;
+	// negative is rejected). Results are independent of the worker count.
+	// SearchSchedulers reads it as the whole sweep's CPU budget.
 	Workers int
 
 	// Seed is the experiment seed; identical seeds reproduce identical
@@ -166,6 +167,14 @@ type Config struct {
 	Scenario loadgen.Scenario
 }
 
+// poolSize resolves Workers: GOMAXPROCS when zero.
+func (c Config) poolSize() int {
+	if c.Workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Workers
+}
+
 // Validate rejects unusable configurations.
 func (c Config) Validate() error {
 	if c.Servers <= 0 || c.CoresPerServer <= 0 {
@@ -192,6 +201,9 @@ func (c Config) Validate() error {
 	}
 	if c.WindowRequests < 0 {
 		return fmt.Errorf("fleet: negative window request budget")
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("fleet: negative Workers %d (0 = GOMAXPROCS)", c.Workers)
 	}
 	if err := c.TailEstimator.Validate(); err != nil {
 		return err
@@ -678,13 +690,7 @@ func run(cfg Config, step func(e *engine, w int, asg Assignment) error) (Result,
 		e.initCounterfactual(cfg.CounterfactualK, sched.MinCores, cfg.Seed)
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nCores {
-		workers = nCores
-	}
+	workers := min(cfg.poolSize(), nCores)
 	e.sims = make([]*queueing.Simulator, workers)
 	for i := range e.sims {
 		e.sims[i] = new(queueing.Simulator)

@@ -260,6 +260,7 @@ func TestFleetValidation(t *testing.T) {
 		func(c *Config) { c.LSSlowdownB = 1 },
 		func(c *Config) { c.QModeBatchCost = -0.2 },
 		func(c *Config) { c.WindowRequests = -5 },
+		func(c *Config) { c.Workers = -3 },
 		func(c *Config) { c.Traffic.Clients[0].Service = "no-such-service" },
 		func(c *Config) {
 			c.Servers = 1

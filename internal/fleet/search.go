@@ -10,6 +10,7 @@ package fleet
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // SearchOutcome is one candidate's evaluation over the whole suite.
@@ -62,6 +63,14 @@ func SearchGrid() []SchedulerConfig {
 // tracing and counterfactuals are forced off — the search wants the
 // cheapest honest run, and the suite configs' own levels would only slow
 // the sweep.
+//
+// The suite's Workers is the sweep's CPU budget, not a per-run pool: the
+// largest resolved Workers (GOMAXPROCS when zero) is split between up to
+// that many concurrent (candidate, suite entry) runs, each with an equal
+// share of the pool. Results do not depend on the split — every run is
+// worker-count independent, and the runs are folded in candidate, then
+// suite order — and the error returned is the first failing run's in
+// that order.
 func SearchSchedulers(suite []Config, cands []SchedulerConfig, w FitnessWeights) ([]SearchOutcome, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -72,21 +81,17 @@ func SearchSchedulers(suite []Config, cands []SchedulerConfig, w FitnessWeights)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("fleet: search needs candidate schedulers")
 	}
+	results, err := searchRuns(suite, cands)
+	if err != nil {
+		return nil, err
+	}
 	outs := make([]SearchOutcome, 0, len(cands))
-	for _, cand := range cands {
+	for i, cand := range cands {
 		out := SearchOutcome{
 			Scheduler: cand.withDefaults(),
 			PerTrace:  make([]float64, len(suite)),
 		}
-		for ti, cfg := range suite {
-			cfg.Scheduler = cand
-			cfg.DecisionTrace = TraceOff
-			cfg.CounterfactualK = 0
-			res, err := Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: search candidate %s on suite entry %d: %w",
-					cand.Policy, ti, err)
-			}
+		for ti, res := range results[i*len(suite) : (i+1)*len(suite)] {
 			f := w.Score(res)
 			out.PerTrace[ti] = f
 			out.Fitness += f
@@ -100,4 +105,57 @@ func SearchSchedulers(suite []Config, cands []SchedulerConfig, w FitnessWeights)
 	}
 	sort.SliceStable(outs, func(a, b int) bool { return outs[a].Fitness > outs[b].Fitness })
 	return outs, nil
+}
+
+// searchRuns runs every (candidate, suite entry) pair and returns the
+// results indexed candidate-major. Runs are claimed from an atomic counter
+// by a workerPool of conc workers; once a run fails no further runs are
+// claimed, and since claims go in index order every run before the
+// failure has completed, so the first error in index order is the one a
+// sequential sweep would have hit.
+func searchRuns(suite []Config, cands []SchedulerConfig) ([]Result, error) {
+	jobs := len(cands) * len(suite)
+	budget := 0
+	for _, cfg := range suite {
+		budget = max(budget, cfg.poolSize())
+	}
+	conc := max(1, min(budget, jobs))
+	perRun := max(1, budget/conc)
+
+	results := make([]Result, jobs)
+	errs := make([]error, jobs)
+	var next atomic.Int64
+	var failed atomic.Bool
+	pool := newWorkerPool(conc)
+	defer pool.close()
+	pool.run(conc, func(int) {
+		for !failed.Load() {
+			j := int(next.Add(1)) - 1
+			if j >= jobs {
+				return
+			}
+			cand, ti := cands[j/len(suite)], j%len(suite)
+			cfg := suite[ti]
+			cfg.Scheduler = cand
+			cfg.DecisionTrace = TraceOff
+			cfg.CounterfactualK = 0
+			if cfg.Workers >= 0 { // a negative count is left for Validate to reject
+				cfg.Workers = perRun
+			}
+			res, err := Run(cfg)
+			if err != nil {
+				errs[j] = fmt.Errorf("fleet: search candidate %s on suite entry %d: %w",
+					cand.Policy, ti, err)
+				failed.Store(true)
+				return
+			}
+			results[j] = res
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -113,5 +116,100 @@ func TestSearchSchedulersValidation(t *testing.T) {
 	bad := []SchedulerConfig{{Policy: Policy(9)}}
 	if _, err := SearchSchedulers(suite, bad, DefaultFitnessWeights()); err == nil {
 		t.Error("invalid candidate accepted")
+	}
+}
+
+// sequentialSearch is the reference sweep: one run at a time, candidate
+// by candidate, folded as it goes.
+func sequentialSearch(suite []Config, cands []SchedulerConfig, w FitnessWeights) ([]SearchOutcome, error) {
+	outs := make([]SearchOutcome, 0, len(cands))
+	for _, cand := range cands {
+		out := SearchOutcome{
+			Scheduler: cand.withDefaults(),
+			PerTrace:  make([]float64, len(suite)),
+		}
+		for ti, cfg := range suite {
+			cfg.Scheduler = cand
+			cfg.DecisionTrace = TraceOff
+			cfg.CounterfactualK = 0
+			res, err := Run(cfg)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: search candidate %s on suite entry %d: %w",
+					cand.Policy, ti, err)
+			}
+			f := w.Score(res)
+			out.PerTrace[ti] = f
+			out.Fitness += f
+			out.Violations += res.ViolationWindows
+			out.Migrations += res.Migrations
+			out.BatchCoreHoursGained += res.BatchCoreHoursGained
+			out.Fairness += res.FairnessIndex
+		}
+		out.Fairness /= float64(len(suite))
+		outs = append(outs, out)
+	}
+	sort.SliceStable(outs, func(a, b int) bool { return outs[a].Fitness > outs[b].Fitness })
+	return outs, nil
+}
+
+// TestSearchSchedulersWorkerIndependent: the concurrent sweep DeepEquals
+// the sequential reference whatever CPU budget the suite grants — many
+// single-worker runs at once, or one run with the whole pool — and a
+// failing sweep always reports the first failing candidate in grid order,
+// however the runs interleave. The -race CI job runs it.
+func TestSearchSchedulersWorkerIndependent(t *testing.T) {
+	auto := planConfig(PolicyFeedback)
+	auto.Engine = EngineAuto
+	suite := []Config{planConfig(PolicyStatic), auto}
+	cands := []SchedulerConfig{
+		{Policy: PolicyStatic},
+		{Policy: PolicyP2C},
+		{Policy: PolicyFeedback},
+		{Policy: PolicyFeedback, FeedbackGain: 3, Hysteresis: 0.05},
+	}
+	w := DefaultFitnessWeights()
+	withWorkers := func(suite []Config, n int) []Config {
+		out := append([]Config(nil), suite...)
+		for i := range out {
+			out[i].Workers = n
+		}
+		return out
+	}
+	ref, err := sequentialSearch(suite, cands, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 5} {
+		got, err := SearchSchedulers(withWorkers(suite, n), cands, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("search at %d workers diverged from the sequential reference", n)
+		}
+	}
+	// A single job keeps the whole budget for its one run.
+	one, err := sequentialSearch(suite[1:], cands[2:3], w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := SearchSchedulers(withWorkers(suite[1:], 5), cands[2:3], w); err != nil || !reflect.DeepEqual(one, got) {
+		t.Fatalf("single-job search diverged (err %v)", err)
+	}
+
+	failing := append([]SchedulerConfig(nil), cands...)
+	failing[1] = SchedulerConfig{Policy: Policy(7)}
+	failing[3] = SchedulerConfig{Policy: Policy(9)}
+	_, want := sequentialSearch(suite, failing, w)
+	if want == nil || !strings.Contains(want.Error(), "candidate Policy(7) on suite entry 0") {
+		t.Fatalf("reference error %v does not name candidate 1", want)
+	}
+	for _, n := range []int{1, 2, 5} {
+		for rep := 0; rep < 5; rep++ {
+			_, err := SearchSchedulers(withWorkers(suite, n), failing, w)
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("%d workers: error %v, want %v", n, err, want)
+			}
+		}
 	}
 }

@@ -608,7 +608,9 @@ type SearchOutcome = fleet.SearchOutcome
 func SearchGrid() []Scheduler { return fleet.SearchGrid() }
 
 // SearchSchedulers evaluates every candidate over every suite config and
-// returns the outcomes ranked by fitness, best first.
+// returns the outcomes ranked by fitness, best first. The suite's Workers
+// is the sweep's CPU budget (GOMAXPROCS when zero), split across
+// concurrent runs; the ranking does not depend on it.
 func SearchSchedulers(suite []FleetConfig, cands []Scheduler, w FitnessWeights) ([]SearchOutcome, error) {
 	return fleet.SearchSchedulers(suite, cands, w)
 }
