@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -129,10 +128,9 @@ func TestCalibratedDeltasAreClientSpecific(t *testing.T) {
 	if res.Clients[0].Batch != workload.Zeusmp || res.Clients[1].Batch != "povray" {
 		t.Fatalf("resolved pairings %q, %q", res.Clients[0].Batch, res.Clients[1].Batch)
 	}
-	// Per-client gains must sum to the fleet aggregate (same windowHours
-	// quantisation, so exact within float tolerance).
+	// The fleet aggregate is the client-order sum of the per-client gains.
 	sum := res.Clients[0].BatchCoreHoursGained + res.Clients[1].BatchCoreHoursGained
-	if d := math.Abs(sum - res.BatchCoreHoursGained); d > 1e-9*math.Abs(res.BatchCoreHoursGained) {
+	if sum != res.BatchCoreHoursGained {
 		t.Fatalf("per-client gains sum to %v, fleet reports %v", sum, res.BatchCoreHoursGained)
 	}
 	// Per-window observation carries the calibrated credit: once engaged,

@@ -43,7 +43,6 @@
 package fleet
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -260,14 +259,6 @@ func (e *engine) coalesceWindow(w int, asg Assignment) {
 		ci := asg.Client[c]
 		if ci < 0 {
 			flush(c)
-			idx := c*e.windows + w
-			e.client[idx] = ci
-			e.tails[idx] = math.NaN()
-			if ci == coreIdle {
-				// An in-service core with no LS client runs batch exactly
-				// as the equal-partitioning baseline would: no gain.
-				e.batchRel[idx] = 1
-			}
 			if k := e.classOf[c]; k >= 0 {
 				e.leaveClass(c, k, w)
 			}
@@ -344,12 +335,8 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 		bRel = e.batchRelMode[ci][mode]
 	}
 	for c := a; c < b; c++ {
-		idx := c*e.windows + w
-		e.client[idx] = ci
-		e.batchRel[idx] = bRel
-		if modeB {
-			e.modeB[idx] = true
-		}
+		e.batchRel[c] = bRel
+		e.modeB[c] = modeB
 	}
 
 	// Classification. An idle window — a Poisson draw of zero arrivals, or
@@ -388,14 +375,16 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 			e.mergeMap[mk] = tgt
 		}
 		for c := a; c < b; c++ {
-			idx := c*e.windows + w
-			e.tails[idx] = tail
-			if analytic {
-				e.analytic[idx] = true
-			}
+			e.tails[c] = tail
 			e.classOf[c] = tgt
 		}
 		e.classes[tgt].size += m
+		if analytic {
+			e.analyticCores += int(m)
+		}
+		if e.engineSel == EngineAuto {
+			e.cohortCores += int(m)
+		}
 		// The walk runs before the pool starts, so worker 0's shard can
 		// take the span's deposit; integer bucket counts merge in any
 		// order.
@@ -432,8 +421,7 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 // claim counter.
 func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator, shard []*stats.Histogram) {
 	c := int(it.core)
-	idx := c*e.windows + w
-	ci := e.client[idx]
+	ci := e.classes[it.class].client
 	seed := e.streams[c].Derive(uint64(w)).Uint64()
 	if err := sim.Reset(e.qcfgs[ci]); err != nil {
 		e.errs[c] = err
@@ -444,7 +432,7 @@ func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator, shard 
 		e.errs[c] = err
 		return
 	}
-	e.tails[idx] = qr.QoSMs
+	e.tails[c] = qr.QoSMs
 	if shard != nil {
 		shard[ci].Add(qr.QoSMs)
 	}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -72,15 +71,9 @@ func perCoreWindow(e *engine, w int, asg Assignment) error {
 		shard = e.shards[0]
 	}
 	for c := 0; c < e.nCores; c++ {
-		idx := c*e.windows + w
 		ci := asg.Client[c]
-		e.client[idx] = ci
 		st := &e.classes[c]
 		if ci < 0 {
-			e.tails[idx] = math.NaN()
-			if ci == coreIdle {
-				e.batchRel[idx] = 1
-			}
 			st.client = ci
 			continue
 		}
@@ -101,12 +94,11 @@ func perCoreWindow(e *engine, w int, asg Assignment) error {
 			perf *= 1 - e.migPenalty
 		}
 		var tail float64
+		solved := false
 		if rate > 0 {
-			solved := false
 			if e.engineSel == EngineAuto && e.analyticOK[ci] && rate*e.utilCoef[ci]/perf <= autoSteadyMaxUtil &&
 				int8(mode) == st.lastMode && !mig && !e.unsteady[ci][w] {
 				tail, solved = e.analyticTail(ci, rate, perf)
-				e.analytic[idx] = solved
 			}
 			if !solved {
 				sim := e.sims[0]
@@ -120,15 +112,21 @@ func perCoreWindow(e *engine, w int, asg Assignment) error {
 				tail = qr.QoSMs
 			}
 		}
-		e.tails[idx] = tail
+		if solved {
+			e.analyticCores++
+		}
+		if e.engineSel == EngineAuto && (solved || rate == 0) {
+			e.cohortCores++
+		}
+		e.tails[c] = tail
 		if shard != nil {
 			shard[ci].Add(tail)
 		}
-		e.modeB[idx] = mode == core.ModeB
+		e.modeB[c] = mode == core.ModeB
 		if mode == core.ModeB && mig && e.migPenalty > 0 {
-			e.batchRel[idx] = 1
+			e.batchRel[c] = 1
 		} else {
-			e.batchRel[idx] = e.batchRelMode[ci][mode]
+			e.batchRel[c] = e.batchRelMode[ci][mode]
 		}
 		st.lastMode = int8(mode)
 		st.ctl.Observe(monitor.Observation{TailMs: tail})

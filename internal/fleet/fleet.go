@@ -190,14 +190,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fleet: %d clients need at least as many cores (have %d)",
 			len(c.Traffic.Clients), c.Servers*c.CoresPerServer)
 	}
-	if c.BatchSpeedupB < 0 {
-		return fmt.Errorf("fleet: negative B-mode batch speedup")
+	// Negated comparisons so NaN fails them too.
+	if !(c.BatchSpeedupB >= 0) || math.IsInf(c.BatchSpeedupB, 0) {
+		return fmt.Errorf("fleet: BatchSpeedupB %v must be non-negative and finite", c.BatchSpeedupB)
 	}
-	if c.LSSlowdownB < 0 || c.LSSlowdownB >= 1 {
-		return fmt.Errorf("fleet: B-mode LS slowdown %v out of [0,1)", c.LSSlowdownB)
+	if !(c.LSSlowdownB >= 0 && c.LSSlowdownB < 1) {
+		return fmt.Errorf("fleet: LSSlowdownB %v out of [0,1)", c.LSSlowdownB)
 	}
-	if c.QModeBatchCost < 0 || c.QModeBatchCost >= 1 {
-		return fmt.Errorf("fleet: Q-mode batch cost %v out of [0,1)", c.QModeBatchCost)
+	if !(c.QModeBatchCost >= 0 && c.QModeBatchCost < 1) {
+		return fmt.Errorf("fleet: QModeBatchCost %v out of [0,1)", c.QModeBatchCost)
 	}
 	if c.WindowRequests < 0 {
 		return fmt.Errorf("fleet: negative window request budget")
@@ -407,8 +408,9 @@ type Result struct {
 	EngagedCoreHours float64
 	// BatchCoreHoursGained integrates (batchRel − 1) over every serving
 	// core-window: the extra batch work versus the same schedule run under
-	// equal partitioning, in core-hours. Idle and drained core-windows
-	// contribute nothing to either side.
+	// equal partitioning, in core-hours: the client-order sum of the
+	// per-client gains. Idle and drained core-windows contribute nothing
+	// to either side.
 	BatchCoreHoursGained float64
 	// BatchGain is BatchCoreHoursGained normalised by TotalCoreHours: the
 	// fleet-wide batch throughput improvement over equal partitioning.
@@ -446,13 +448,14 @@ type Result struct {
 	DecisionTrace []DecisionRecord
 }
 
-// engine is one run's window-major execution state. Per-core-per-window
-// records are kept flat (core-major: index core×windows+window) so the
-// final aggregation can replay the exact accumulation order of the former
-// core-major engine, keeping aggregate floats bit-identical.
+// engine is one run's window-major execution state. Per-core records hold
+// the current window only; the barrier (observe) folds them into the run
+// totals, so memory is bounded by cores, not core-windows. Floats
+// accumulate there in core order within each window, window by window,
+// which fixes every aggregate float bit for a seed.
 type engine struct {
 	nCores, windows, windowReq int
-	migPenalty                 float64
+	migPenalty, windowHours    float64
 	monCfg                     func(float64) monitor.Config
 	engineSel                  Engine
 
@@ -520,17 +523,28 @@ type engine struct {
 	analyticOK []bool
 	unsteady   [][]bool
 
-	tails    []float64
-	batchRel []float64
-	modeB    []bool
-	analytic []bool
-	client   []int16
-	errs     []error
+	// The current window's per-core records, indexed by core and written
+	// by the walk and the pool (tails), read by observe; analyticCores and
+	// cohortCores count the window's analytic and (auto engine) coalesced
+	// core-windows. Records of cores serving no client are left stale and
+	// never read.
+	tails                      []float64
+	batchRel                   []float64
+	modeB                      []bool
+	analyticCores, cohortCores int
+	errs                       []error
+
+	// cms accumulates the per-client run totals the barrier folds:
+	// engaged core-hours and batch core-hours gained.
+	cms []ClientMetrics
 
 	// Exact estimator: winSamples holds one reusable per-client sample for
 	// the window observation's tail quantile, filled and drained at each
-	// barrier.
-	winSamples []*stats.Sample
+	// barrier; runSamples and fleetSample retain every core-window tail for
+	// the per-client and fleet-wide run quantiles.
+	winSamples  []*stats.Sample
+	runSamples  []*stats.Sample
+	fleetSample *stats.Sample
 
 	// Histogram estimator: each worker records its cores' window tails
 	// into its own per-client shard (shards[worker][client]); the barrier
@@ -638,7 +652,8 @@ func run(cfg Config, step func(e *engine, w int, asg Assignment) error) (Result,
 	perfGen := cfg.Scenario.PerfFactors(cfg.Servers)
 	e := &engine{
 		nCores: nCores, windows: windows, windowReq: windowReq,
-		migPenalty: sched.MigrationPenalty, monCfg: monCfg,
+		migPenalty: sched.MigrationPenalty, windowHours: cfg.Traffic.WindowSec / 3600,
+		monCfg:       monCfg,
 		engineSel:    cfg.Engine,
 		lsSlowMode:   lsSlowMode,
 		batchRelMode: batchRelMode,
@@ -646,11 +661,17 @@ func run(cfg Config, step func(e *engine, w int, asg Assignment) error) (Result,
 		qcfgs:        qcfgs,
 		perf:         make([]float64, nCores),
 		streams:      make([]rng.Stream, nCores),
-		tails:        make([]float64, nCores*windows),
-		batchRel:     make([]float64, nCores*windows),
-		modeB:        make([]bool, nCores*windows),
-		client:       make([]int16, nCores*windows),
+		tails:        make([]float64, nCores),
+		batchRel:     make([]float64, nCores),
+		modeB:        make([]bool, nCores),
 		errs:         make([]error, nCores),
+		cms:          make([]ClientMetrics, n),
+	}
+	for ci, cl := range cfg.Traffic.Clients {
+		e.cms[ci] = ClientMetrics{
+			Client: cl.Name, Service: cl.Service, Batch: BatchPairing(cl), SLO: cl.SLO,
+			TargetMs: targets[ci],
+		}
 	}
 	e.initCohorts(n)
 	for c := 0; c < nCores; c++ {
@@ -664,7 +685,6 @@ func run(cfg Config, step func(e *engine, w int, asg Assignment) error) (Result,
 		// comfortably steady utilization — the refusals that matter here
 		// are rate-independent caps), and the steadiness mask from the
 		// traffic shapes and scenario surges.
-		e.analytic = make([]bool, nCores*windows)
 		e.utilCoef = make([]float64, n)
 		e.analyticOK = make([]bool, n)
 		e.unsteady = make([][]bool, n)
@@ -717,6 +737,8 @@ func run(cfg Config, step func(e *engine, w int, asg Assignment) error) (Result,
 		for ci := range e.winSamples {
 			e.winSamples[ci] = stats.NewSample(nCores)
 		}
+		e.runSamples = make([]*stats.Sample, n) // sized by observe at window 0
+		e.fleetSample = stats.NewSample(nCores * windows)
 	}
 
 	var (
@@ -754,118 +776,63 @@ func run(cfg Config, step func(e *engine, w int, asg Assignment) error) (Result,
 		obs = &winTrace[len(winTrace)-1]
 	}
 
-	// Schedule bookkeeping falls out of the per-window observations.
-	migrations, drainedCoreWindows, parkedCoreWindows, idleCoreWindows := 0, 0, 0, 0
-	analyticCoreWindows, cohortCoreWindows := 0, 0
-	for _, o := range winTrace {
-		migrations += o.Migrations
-		drainedCoreWindows += o.DrainedCores
-		parkedCoreWindows += o.ParkedCores
-		idleCoreWindows += o.IdleCores
-		analyticCoreWindows += o.AnalyticCores
-		cohortCoreWindows += o.CohortCores
-	}
-	initialCores := make([]int, n)
-	if len(winTrace) > 0 {
-		for ci := range initialCores {
-			initialCores[ci] = winTrace[0].Clients[ci].Cores
-		}
-	}
-
-	// Deterministic aggregation in core order — the exact accumulation
-	// order of the former core-major engine, so aggregate floats (and the
-	// golden files derived from them) are bit-identical.
 	calibHash := ""
 	if cfg.Calibration != nil {
 		calibHash = cfg.Calibration.Hash
 	}
 	res := Result{
 		Cores: nCores, Windows: windows, WindowSec: cfg.Traffic.WindowSec,
-		Policy:              sched.Policy,
-		Autoscale:           auto.Policy,
-		TailEstimator:       est,
-		Engine:              cfg.Engine,
-		AnalyticCoreWindows: analyticCoreWindows,
-		AnalyticSolves:      int(e.solves.Load()),
-		CohortCoreWindows:   cohortCoreWindows,
-		CalibrationHash:     calibHash,
-		TotalCoreHours:      float64(nCores) * cfg.Traffic.Hours(),
-		Migrations:          migrations,
-		DrainedCoreWindows:  drainedCoreWindows,
-		ParkedCoreWindows:   parkedCoreWindows,
-		IdleCoreWindows:     idleCoreWindows,
-		WindowTrace:         winTrace,
-		DecisionTrace:       decTrace,
+		Policy:          sched.Policy,
+		Autoscale:       auto.Policy,
+		TailEstimator:   est,
+		Engine:          cfg.Engine,
+		AnalyticSolves:  int(e.solves.Load()),
+		CalibrationHash: calibHash,
+		TotalCoreHours:  float64(nCores) * cfg.Traffic.Hours(),
+		WindowTrace:     winTrace,
+		DecisionTrace:   decTrace,
 	}
-	windowHours := cfg.Traffic.WindowSec / 3600
-	// Under the exact estimator the per-client and fleet-wide tails need
-	// every core-window tail retained and sorted; the histogram estimator
-	// already folded them into runHists/fleetHist at the barriers.
-	var perClient []*stats.Sample
-	var fleetSample *stats.Sample
-	if est == stats.EstimatorExact {
-		perClient = make([]*stats.Sample, n)
-		for ci := range perClient {
-			perClient[ci] = stats.NewSample(initialCores[ci] * windows)
-		}
-		fleetSample = stats.NewSample(nCores * windows)
-	}
-	cms := make([]ClientMetrics, n)
-	for ci, cl := range cfg.Traffic.Clients {
-		cms[ci] = ClientMetrics{
-			Client: cl.Name, Service: cl.Service, Batch: BatchPairing(cl), SLO: cl.SLO,
-			Cores: initialCores[ci], TargetMs: targets[ci],
+	// The barrier already folded the float totals; the counts fall out of
+	// the per-window observations.
+	cms := e.cms
+	for _, o := range winTrace {
+		res.Migrations += o.Migrations
+		res.DrainedCoreWindows += o.DrainedCores
+		res.ParkedCoreWindows += o.ParkedCores
+		res.IdleCoreWindows += o.IdleCores
+		res.AnalyticCoreWindows += o.AnalyticCores
+		res.CohortCoreWindows += o.CohortCores
+		res.ViolationWindows += o.Violations
+		for ci, co := range o.Clients {
+			cms[ci].CoreWindows += co.Cores
+			cms[ci].ViolationWindows += co.Violations
 		}
 	}
+	// Switches banked when each core left past classes, plus its current
+	// class's live count.
 	for c := 0; c < nCores; c++ {
-		for w := 0; w < windows; w++ {
-			idx := c*windows + w
-			ci := e.client[idx]
-			if ci < 0 {
-				continue
-			}
-			cm := &cms[ci]
-			t := e.tails[idx]
-			if perClient != nil {
-				perClient[ci].Add(t)
-				fleetSample.Add(t)
-			}
-			cm.CoreWindows++
-			if t > targets[ci] {
-				cm.ViolationWindows++
-			}
-			if e.modeB[idx] {
-				cm.EngagedCoreHours += windowHours
-			}
-			// The fleet-wide gain keeps its own accumulator (in core-major
-			// order, part of the byte-identical goldens contract) alongside
-			// the per-client one; per-client gains sum to the fleet total.
-			cm.BatchCoreHoursGained += (e.batchRel[idx] - 1) * windowHours
-			res.BatchCoreHoursGained += (e.batchRel[idx] - 1) * windowHours
-		}
-		// Switches banked when the core left past classes, plus its
-		// current class's live count.
 		res.Switches += e.swBase[c]
 		if k := e.classOf[c]; k >= 0 {
 			res.Switches += e.classes[k].ctl.Switches()
 		}
 	}
 	for ci := range cms {
+		cms[ci].Cores = winTrace[0].Clients[ci].Cores
 		// A client squeezed to zero core-windows has an empty sample or
 		// histogram; Quantile reports 0 for it, never NaN.
-		if perClient != nil {
-			cms[ci].P99Ms = perClient[ci].Quantile(0.99)
-			cms[ci].P999Ms = perClient[ci].Quantile(0.999)
+		if e.runSamples != nil {
+			cms[ci].P99Ms = e.runSamples[ci].Quantile(0.99)
+			cms[ci].P999Ms = e.runSamples[ci].Quantile(0.999)
 		} else {
 			cms[ci].P99Ms = e.runHists[ci].Quantile(0.99)
 			cms[ci].P999Ms = e.runHists[ci].Quantile(0.999)
 		}
-		res.ViolationWindows += cms[ci].ViolationWindows
 		res.EngagedCoreHours += cms[ci].EngagedCoreHours
+		res.BatchCoreHoursGained += cms[ci].BatchCoreHoursGained
 	}
-	if fleetSample != nil {
-		res.FleetP99Ms = fleetSample.Quantile(0.99)
-		res.FleetP999Ms = fleetSample.Quantile(0.999)
+	if e.fleetSample != nil {
+		res.FleetP99Ms = e.fleetSample.Quantile(0.99)
+		res.FleetP999Ms = e.fleetSample.Quantile(0.999)
 	} else {
 		res.FleetP99Ms = e.fleetHist.Quantile(0.99)
 		res.FleetP999Ms = e.fleetHist.Quantile(0.999)
@@ -888,9 +855,25 @@ func run(cfg Config, step func(e *engine, w int, asg Assignment) error) (Result,
 
 // observe collects the window's measurements behind the barrier, in core
 // order, into the observation record the scheduler sees next window. One
-// pass over the fleet fills the per-client aggregates and tail samples.
+// pass over the fleet fills the per-client aggregates and tail samples and
+// folds the window into the run totals.
 func (e *engine) observe(w int, asg Assignment) WindowObservation {
-	o := WindowObservation{Window: w, Clients: make([]ClientWindowObs, len(e.targets))}
+	o := WindowObservation{Window: w, Clients: make([]ClientWindowObs, len(e.targets)),
+		AnalyticCores: e.analyticCores, CohortCores: e.cohortCores}
+	e.analyticCores, e.cohortCores = 0, 0
+	if w == 0 && e.runSamples != nil {
+		// Presize each client's run sample for its window-0 allocation
+		// held over the whole horizon.
+		cores := make([]int, len(e.runSamples))
+		for _, cl := range asg.Client {
+			if cl >= 0 {
+				cores[cl]++
+			}
+		}
+		for ci, m := range cores {
+			e.runSamples[ci] = stats.NewSample(m * e.windows)
+		}
+	}
 	for c := 0; c < e.nCores; c++ {
 		cl := asg.Client[c]
 		switch {
@@ -901,9 +884,8 @@ func (e *engine) observe(w int, asg Assignment) WindowObservation {
 		case cl == coreIdle:
 			o.IdleCores++
 		default:
-			co := &o.Clients[cl]
-			idx := c*e.windows + w
-			t := e.tails[idx]
+			co, cm := &o.Clients[cl], &e.cms[cl]
+			t := e.tails[c]
 			co.Cores++
 			o.ServingCores++
 			co.OfferedRPS += asg.Rate[c]
@@ -915,27 +897,23 @@ func (e *engine) observe(w int, asg Assignment) WindowObservation {
 				co.Violations++
 				o.Violations++
 			}
-			if e.modeB[idx] {
+			if e.modeB[c] {
 				co.BCores++
 				o.BCores++
+				cm.EngagedCoreHours += e.windowHours
 			}
-			co.BatchRel += e.batchRel[idx]
+			co.BatchRel += e.batchRel[c]
+			cm.BatchCoreHoursGained += (e.batchRel[c] - 1) * e.windowHours
 			// A class's members share their controller's exact observation
 			// history, so the class Slack IS each member's Slack.
 			co.MeanSlack += e.classes[e.classOf[c]].ctl.Slack()
 			if asg.Migrated[c] {
 				o.Migrations++
 			}
-			if e.analytic != nil { // auto engine only
-				if e.analytic[idx] {
-					o.AnalyticCores++
-				}
-				if e.analytic[idx] || asg.Rate[c] == 0 {
-					o.CohortCores++
-				}
-			}
 			if e.winSamples != nil {
 				e.winSamples[cl].Add(t)
+				e.runSamples[cl].Add(t)
+				e.fleetSample.Add(t)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"stretch/internal/core"
@@ -251,6 +252,81 @@ func TestWindowTraceConsistency(t *testing.T) {
 	}
 }
 
+// TestRunTotalsConserved holds the run totals to the window barrier's
+// records over the equivalence suite's configurations: every client's
+// core-window and violation counts are its sums over WindowTrace, the
+// fleet's core-windows partition into serving, drained, parked and idle,
+// and the per-client batch gains sum exactly to the fleet total.
+func TestRunTotalsConserved(t *testing.T) {
+	for _, pol := range []Policy{PolicyStatic, PolicyProportional, PolicyP2C, PolicyFeedback} {
+		for _, eng := range []Engine{EngineDiscrete, EngineAuto} {
+			for _, est := range []stats.TailEstimator{stats.EstimatorHistogram, stats.EstimatorExact} {
+				t.Run(fmt.Sprintf("%v/%v/%v", pol, eng, est), func(t *testing.T) {
+					cfg := equivConfig()
+					cfg.Scheduler = SchedulerConfig{Policy: pol}
+					cfg.Engine, cfg.TailEstimator = eng, est
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					total := res.DrainedCoreWindows + res.ParkedCoreWindows + res.IdleCoreWindows
+					gain := 0.0
+					for ci, cm := range res.Clients {
+						cw, viol := 0, 0
+						for _, o := range res.WindowTrace {
+							cw += o.Clients[ci].Cores
+							viol += o.Clients[ci].Violations
+						}
+						if cm.CoreWindows != cw || cm.ViolationWindows != viol {
+							t.Errorf("client %s: core-windows %d violations %d, trace sums %d and %d",
+								cm.Client, cm.CoreWindows, cm.ViolationWindows, cw, viol)
+						}
+						total += cm.CoreWindows
+						gain += cm.BatchCoreHoursGained
+					}
+					if total != res.Cores*res.Windows {
+						t.Errorf("core-windows partition to %d, want %d × %d", total, res.Cores, res.Windows)
+					}
+					if gain != res.BatchCoreHoursGained {
+						t.Errorf("per-client batch gains sum to %v, fleet reports %v", gain, res.BatchCoreHoursGained)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunMemoryBoundedByCores: a run's allocations grow with the horizon
+// only by its per-window records (the window trace, the timelines), not
+// by per-core-window state. Not parallel: TotalAlloc is process-wide.
+func TestRunMemoryBoundedByCores(t *testing.T) {
+	const cores = 512
+	alloc := func(windows int) uint64 {
+		cfg := Config{
+			Servers: cores / 16, CoresPerServer: 16,
+			Traffic: loadgen.Traffic{Windows: windows, WindowSec: 300, Clients: []loadgen.Client{{
+				Name: "search", Service: workload.WebSearch, Fraction: 1,
+				Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 280 * cores}, Poisson: true},
+			}}},
+			BatchSpeedupB: 0.13, LSSlowdownB: 0.07,
+			WindowRequests: 20, Workers: 1, TailEstimator: stats.EstimatorHistogram, Seed: 1,
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := alloc(50), alloc(200)
+	perCoreWindow := (float64(long) - float64(short)) / (cores * 150)
+	t.Logf("%d B at 50 windows, %d B at 200: %.2f B per extra core-window", short, long, perCoreWindow)
+	if perCoreWindow >= 2 {
+		t.Fatalf("%.2f B per extra core-window; want < 2", perCoreWindow)
+	}
+}
+
 func TestFleetValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Servers = 0 },
@@ -259,6 +335,10 @@ func TestFleetValidation(t *testing.T) {
 		func(c *Config) { c.BatchSpeedupB = -0.1 },
 		func(c *Config) { c.LSSlowdownB = 1 },
 		func(c *Config) { c.QModeBatchCost = -0.2 },
+		func(c *Config) { c.BatchSpeedupB = math.NaN() },
+		func(c *Config) { c.BatchSpeedupB = math.Inf(1) },
+		func(c *Config) { c.LSSlowdownB = math.NaN() },
+		func(c *Config) { c.QModeBatchCost = math.NaN() },
 		func(c *Config) { c.WindowRequests = -5 },
 		func(c *Config) { c.Workers = -3 },
 		func(c *Config) { c.Traffic.Clients[0].Service = "no-such-service" },
@@ -282,7 +362,7 @@ func TestFleetValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := lowLoadConfig()
 		mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}

@@ -335,8 +335,8 @@ func (s Spec) Timeline(windows int, windowSec float64, stream *rng.Stream) ([]fl
 	if err != nil {
 		return nil, err
 	}
-	if windows <= 0 || windowSec <= 0 {
-		return nil, fmt.Errorf("loadgen: non-positive horizon (%d windows × %vs)", windows, windowSec)
+	if windows <= 0 || !(windowSec > 0) || math.IsInf(windowSec, 0) {
+		return nil, fmt.Errorf("loadgen: horizon (%d windows × %vs) must be positive and finite", windows, windowSec)
 	}
 	// The Weibull CV knob inverts to the distribution's shape parameter
 	// once per materialisation.
@@ -445,8 +445,8 @@ type Traffic struct {
 
 // Validate rejects unusable specs.
 func (t Traffic) Validate() error {
-	if t.Windows <= 0 || t.WindowSec <= 0 {
-		return fmt.Errorf("loadgen: non-positive horizon (%d windows × %vs)", t.Windows, t.WindowSec)
+	if t.Windows <= 0 || !(t.WindowSec > 0) || math.IsInf(t.WindowSec, 0) {
+		return fmt.Errorf("loadgen: horizon (%d windows × %vs) must be positive and finite", t.Windows, t.WindowSec)
 	}
 	if len(t.Clients) == 0 {
 		return fmt.Errorf("loadgen: traffic without clients")

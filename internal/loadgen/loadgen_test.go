@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"math"
 	"testing"
 
 	"stretch/internal/rng"
@@ -99,6 +100,9 @@ func TestTimelineValidation(t *testing.T) {
 	if _, err := (Spec{Shape: Constant{Rate: 1}}).Timeline(0, 1, rng.New(1)); err == nil {
 		t.Error("zero windows accepted")
 	}
+	if _, err := (Spec{Shape: Constant{Rate: 1}}).Timeline(4, math.NaN(), rng.New(1)); err == nil {
+		t.Error("NaN window length accepted")
+	}
 	if _, err := (Spec{Shape: Constant{Rate: -1}}).Timeline(4, 1, rng.New(1)); err == nil {
 		t.Error("negative rate accepted")
 	}
@@ -182,6 +186,8 @@ func TestTrafficValidate(t *testing.T) {
 	bad := []func(*Traffic){
 		func(tr *Traffic) { tr.Windows = 0 },
 		func(tr *Traffic) { tr.WindowSec = 0 },
+		func(tr *Traffic) { tr.WindowSec = math.NaN() },
+		func(tr *Traffic) { tr.WindowSec = math.Inf(1) },
 		func(tr *Traffic) { tr.Clients = nil },
 		func(tr *Traffic) { tr.Clients[0].Name = "" },
 		func(tr *Traffic) { tr.Clients[1].Name = "a" },
