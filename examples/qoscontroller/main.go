@@ -37,6 +37,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The controller acts on the QoS tail alone, so each window asks the
+	// simulator for just that (Tail), not the full Simulate summary.
+	sim, err := queueing.NewSimulator(qc)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// B-mode costs the service ~7% single-thread performance (measured
 	// B-mode LS slowdown); the controller must only engage it when the
@@ -50,21 +56,21 @@ func main() {
 		if ctl.Mode() == core.ModeB {
 			perf = 1 - bModeSlowdown
 		}
-		res, err := queueing.Simulate(qc, peak*load, nReq, perf, uint64(100+h))
+		tail, err := sim.Tail(peak*load, nReq, perf, uint64(100+h))
 		if err != nil {
 			log.Fatal(err)
 		}
-		act := ctl.Observe(monitor.Observation{TailMs: res.QoSMs})
+		act := ctl.Observe(monitor.Observation{TailMs: tail})
 		// Apply hysteresis: feed a second window per hour so streaks build.
-		res2, err := queueing.Simulate(qc, peak*load, nReq, perf, uint64(200+h))
+		tail2, err := sim.Tail(peak*load, nReq, perf, uint64(200+h))
 		if err != nil {
 			log.Fatal(err)
 		}
-		if a2 := ctl.Observe(monitor.Observation{TailMs: res2.QoSMs}); a2 != monitor.ActionNone {
+		if a2 := ctl.Observe(monitor.Observation{TailMs: tail2}); a2 != monitor.ActionNone {
 			act = a2
 		}
 		fmt.Printf("%02d    %3.0f%%  %7.1f  %-9s %s\n",
-			h, 100*load, res.QoSMs, ctl.Mode(), act)
+			h, 100*load, tail, ctl.Mode(), act)
 	}
 	fmt.Printf("\nmode switches over the day: %d (hysteresis keeps flips rare;\n", ctl.Switches())
 	fmt.Println("each switch costs one drain + 12-cycle flush on both threads)")

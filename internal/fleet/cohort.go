@@ -427,14 +427,14 @@ func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator, shard 
 		e.errs[c] = err
 		return
 	}
-	qr, err := sim.Simulate(it.rate, e.windowReq, it.perf, seed)
+	tail, err := sim.Tail(it.rate, e.windowReq, it.perf, seed)
 	if err != nil {
 		e.errs[c] = err
 		return
 	}
-	e.tails[c] = qr.QoSMs
+	e.tails[c] = tail
 	if shard != nil {
-		shard[ci].Add(qr.QoSMs)
+		shard[ci].Add(tail)
 	}
-	e.classes[it.class].ctl.Observe(monitor.Observation{TailMs: qr.QoSMs})
+	e.classes[it.class].ctl.Observe(monitor.Observation{TailMs: tail})
 }

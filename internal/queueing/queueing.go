@@ -16,15 +16,24 @@
 // Invariants: a simulation is a pure function of (Config, rate, nRequests,
 // perfFactor, seed) — bit-identical on every run, with Simulator state
 // never leaking between calls. Config.Estimator selects the latency
-// quantile estimator: exact (sorted sample) or the mergeable log-bucketed
-// histogram whose error is bounded by the bucket resolution
-// (stats.Histogram); the choice never perturbs the simulated event
-// sequence, only how its measurements are summarised.
+// quantile estimator: exact (stats.Sample's interpolated quantile) or the
+// value the mergeable log-bucketed histogram reports, whose error is
+// bounded by the bucket resolution (stats.Histogram); the choice never
+// perturbs the simulated event sequence, only how its measurements are
+// summarised.
+//
+// Contract with the fleet: the fleet engine, the counterfactual evaluator,
+// PeakLoad and the slack search read only QoSMs (and MeetsQoS, which
+// follows from it), so they call Simulator.Tail, which returns a value
+// bit-identical to Simulate(...).QoSMs under both estimators. Tail and
+// Simulate share one event loop; Tail only skips the queue depth, mean,
+// P95 and P99 and keeps the few largest latencies the QoS quantile reads.
 package queueing
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"stretch/internal/rng"
 	"stretch/internal/stats"
@@ -54,13 +63,15 @@ type Config struct {
 	// QoSQuantile and QoSTargetMs define the QoS constraint.
 	QoSQuantile float64
 	QoSTargetMs float64
-	// Estimator selects how latency quantiles are computed:
-	// stats.EstimatorExact retains and sorts every measured latency;
-	// stats.EstimatorHistogram records into a fixed log-bucketed histogram
-	// (O(1) add, bounded relative error, mergeable). The zero value
-	// (stats.EstimatorDefault) resolves to exact here — standalone queueing
-	// callers are the paper's figures, where fidelity wins; the fleet
-	// engine passes an explicit estimator.
+	// Estimator selects which latency quantiles are reported:
+	// stats.EstimatorExact gives stats.Sample.Quantile's interpolated
+	// value; stats.EstimatorHistogram gives what a stats.Histogram of the
+	// measured latencies would (bounded relative error, and the same
+	// bucket grid as the fleet's mergeable run histograms). Either is read
+	// from a tracker of the largest latencies, not a full store. The zero
+	// value (stats.EstimatorDefault) resolves to exact here — standalone
+	// queueing callers are the paper's figures, where fidelity wins; the
+	// fleet engine passes an explicit estimator.
 	Estimator stats.TailEstimator
 }
 
@@ -86,6 +97,10 @@ func (c Config) Validate() error {
 	}
 	return c.Estimator.Validate()
 }
+
+// Meets reports whether a QoS-quantile latency satisfies the target:
+// tailMs <= QoSTargetMs.
+func (c Config) Meets(tailMs float64) bool { return tailMs <= c.QoSTargetMs }
 
 // Result summarises one simulation.
 type Result struct {
@@ -125,11 +140,39 @@ func (s sortedRing) replaceMin(v float64) float64 {
 	return top
 }
 
+// minHeap is a binary min-heap of latencies, the top-k tracker: element 0
+// is the smallest value kept, and replaceMin swaps it for a larger one in
+// O(log k). A sorted ring would pay O(k) per insertion, which is fine at a
+// fleet window's few slots but quadratic at the figures' request counts
+// (P95 of 20000 requests keeps 900).
+type minHeap []float64
+
+// replaceMin replaces the minimum with v and restores the heap order.
+func (h minHeap) replaceMin(v float64) {
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if v <= h[c] {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = v
+}
+
 // Simulator runs request-level simulations with reusable state: the worker
-// and waiting heaps and the latency sample buffer persist across runs, so a
-// caller stepping many monitoring windows (the fleet engine's hot loop)
-// pays no per-window heap allocations. The zero value is ready after Reset.
-// A Simulator is not safe for concurrent use; share one per goroutine.
+// ring, the top-latency tracker and the batched draw buffers persist across
+// runs, so a caller stepping many monitoring windows (the fleet engine's hot
+// loop) pays no per-window heap allocations. The zero value is ready after
+// Reset. A Simulator is not safe for concurrent use; share one per
+// goroutine.
 type Simulator struct {
 	cfg Config
 	// validated marks cfg as having passed Validate, letting Reset skip
@@ -144,20 +187,31 @@ type Simulator struct {
 	// them in exactly the min-first order the former heap did.
 	waiting  []float64
 	waitHead int
-	lat      *stats.Sample
-	hist     *stats.Histogram
+	// top tracks the largest measured latencies: as many as the lowest
+	// quantile the call reports reads (stats.TopSlots). It is a minHeap
+	// during the loop and sorted ascending after it.
+	top minHeap
 	// arrGaps/arrHeads buffer batched (inter-arrival gap, burst head) draw
-	// pairs from the arrival stream, refilled in blocks so the hot loop
-	// amortises the per-draw call overhead. Consumption order is identical
-	// to the historical per-arrival draws (rng.Stream.FillArrivals).
+	// pairs from the arrival stream, and svcMs batched service times from
+	// the service stream, refilled in blocks so the hot loop amortises the
+	// per-draw call overhead and the service draws' transcendental math
+	// runs outside the queue's serial dependency chain. Consumption order
+	// is identical to the historical per-request draws
+	// (rng.Stream.FillArrivals; one Normal per request).
 	arrGaps  []float64
 	arrHeads []bool
+	svcMs    []float64
 }
 
-// arrivalBatch is the block size of buffered arrival draws. Over-drawing
-// past the last arrival is harmless: the arrival stream is derived fresh
-// per Simulate call and discarded with it.
+// arrivalBatch is the block size of buffered arrival and service draws.
+// Over-drawing past the last arrival is harmless: the arrival stream is
+// derived fresh per call and discarded with it.
 const arrivalBatch = 256
+
+// tailGrid supplies the default tail-histogram geometry for the histogram
+// estimator's bucket rounding. It is only read (Histogram.Round), never
+// filled, so concurrent Simulators may share it.
+var tailGrid = stats.NewTailHistogram()
 
 // NewSimulator builds a Simulator for cfg.
 func NewSimulator(cfg Config) (*Simulator, error) {
@@ -168,8 +222,8 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Reset swaps in a service configuration, keeping the allocated heaps and
-// sample buffer for reuse by the next Simulate call. Resetting to the
+// Reset swaps in a service configuration, keeping the allocated buffers
+// for reuse by the next Simulate or Tail call. Resetting to the
 // configuration already in place (the common case on the fleet's
 // per-window loop, where a core keeps its client across windows) skips
 // the revalidation: Config is a comparable value type, so equality means
@@ -193,6 +247,52 @@ func (s *Simulator) Reset(cfg Config) error {
 // the same (config, arguments, seed), regardless of what the Simulator ran
 // before.
 func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float64, seed uint64) (Result, error) {
+	r, err := s.run(ratePerSec, nRequests, perfFactor, seed, true)
+	if err != nil {
+		return Result{}, err
+	}
+	r.P95Ms = s.quantile(r.Requests, 0.95)
+	r.P99Ms = s.quantile(r.Requests, 0.99)
+	r.QoSMs = s.quantile(r.Requests, s.cfg.QoSQuantile)
+	r.MeetsQoS = s.cfg.Meets(r.QoSMs)
+	return r, nil
+}
+
+// Tail runs the same simulation as Simulate and returns only its QoSMs,
+// bit for bit. It keeps just the largest measured latencies the QoS
+// quantile can read, and skips the queue depth, mean, P95 and P99: the
+// per-window form for callers that act on the QoS tail alone (the fleet
+// engine, PeakLoad, the slack search).
+func (s *Simulator) Tail(ratePerSec float64, nRequests int, perfFactor float64, seed uint64) (float64, error) {
+	r, err := s.run(ratePerSec, nRequests, perfFactor, seed, false)
+	if err != nil {
+		return 0, err
+	}
+	return s.quantile(r.Requests, s.cfg.QoSQuantile), nil
+}
+
+// quantile is the configured estimator's q-quantile of the last run's m
+// measured latencies, read from the tracker of the largest of them (which
+// must hold at least stats.TopSlots(m, q)). The exact estimator
+// interpolates as stats.Sample.Quantile does; the histogram estimator
+// rounds the ⌊q(m−1)⌋-th order statistic to its bucket's representative
+// value, which is what stats.Histogram.Quantile returns because bucketing
+// is monotone.
+func (s *Simulator) quantile(m int, q float64) float64 {
+	if s.cfg.Estimator == stats.EstimatorHistogram {
+		return tailGrid.Round(s.top[len(s.top)-stats.TopSlots(m, q)])
+	}
+	return stats.TopQuantile(s.top, m, q)
+}
+
+// run is the one event loop behind Simulate and Tail. It drives nRequests
+// through the FCFS worker pool and keeps the largest measured latencies in
+// s.top: enough for the QoS quantile, and with full set for P95 too. Only
+// with full set does it also track the mean and the queue depth
+// (Simulate's extras). The simulated event sequence is the same either
+// way. The returned Result carries Requests, and with full set MeanMs and
+// MaxQueue.
+func (s *Simulator) run(ratePerSec float64, nRequests int, perfFactor float64, seed uint64, full bool) (Result, error) {
 	cfg := s.cfg
 	if cfg.Workers <= 0 {
 		return Result{}, fmt.Errorf("queueing: Simulator not configured (call Reset first)")
@@ -214,9 +314,7 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 		s.workers = make(sortedRing, cfg.Workers)
 	} else {
 		s.workers = s.workers[:cfg.Workers]
-		for i := range s.workers {
-			s.workers[i] = 0
-		}
+		clear(s.workers)
 	}
 	workers := s.workers
 
@@ -232,29 +330,28 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 	meanGapMs := 1000 / ratePerSec
 	now := 0.0 // arrival clock, ms
 	warm := nRequests / 10
-	// The measured-latency store: an exact sorted sample, or the mergeable
-	// log-bucketed histogram (O(1) add, O(buckets) quantile — no per-window
-	// sort on the fleet hot path). Either is reused across Simulate calls.
-	var lat *stats.Sample
-	var hist *stats.Histogram
-	if s.cfg.Estimator == stats.EstimatorHistogram {
-		if s.hist == nil {
-			s.hist = stats.NewTailHistogram()
-		} else {
-			s.hist.Reset()
-		}
-		hist = s.hist
-	} else {
-		if s.lat == nil {
-			s.lat = stats.NewSample(nRequests - warm)
-		} else {
-			s.lat.Reset()
-		}
-		lat = s.lat
-	}
-	var mean stats.Running
 	maxQ := 0
 	pending := 0 // requests in this burst still to arrive at `now`
+
+	// The top-k tracker starts at -Inf (a valid heap), so the first k
+	// latencies fill it and each later one enters only if it beats the
+	// smallest kept.
+	// TopSlots grows as q falls, so P95's slots cover P99 and any QoS
+	// quantile above 0.95.
+	m := nRequests - warm
+	k := stats.TopSlots(m, cfg.QoSQuantile)
+	if full {
+		k = max(k, stats.TopSlots(m, 0.95))
+	}
+	if cap(s.top) < k {
+		s.top = make(minHeap, k)
+	}
+	s.top = s.top[:k]
+	for i := range s.top {
+		s.top[i] = math.Inf(-1)
+	}
+	top := s.top
+	var mean stats.Running
 
 	// Arrival draws are consumed from a block-refilled buffer: one
 	// (gap, head) pair per burst head, in exactly the order the unbatched
@@ -266,77 +363,69 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 	if s.arrGaps == nil {
 		s.arrGaps = make([]float64, arrivalBatch)
 		s.arrHeads = make([]bool, arrivalBatch)
+		s.svcMs = make([]float64, arrivalBatch)
 	}
 	arrPos, arrLen := 0, 0 // empty: first use triggers a refill
 
 	s.waiting = s.waiting[:0]
 	s.waitHead = 0
 
-	for i := 0; i < nRequests; i++ {
-		if pending > 0 {
-			pending--
-		} else {
-			if arrPos == arrLen {
-				arrLen = nRequests - i
-				if arrLen > arrivalBatch {
-					arrLen = arrivalBatch
-				}
-				arr.FillArrivals(s.arrGaps[:arrLen], s.arrHeads[:arrLen], meanGapMs, cfg.BurstProb)
-				arrPos = 0
-			}
-			now += s.arrGaps[arrPos]
-			if s.arrHeads[arrPos] {
-				pending = int(cfg.BurstLen) - 1
-				if pending < 0 {
-					pending = 0
-				}
-			}
-			arrPos++
+	for i := 0; i < nRequests; {
+		// Every request takes exactly one service draw, so each block of
+		// requests draws its service times up front, sized min(remaining,
+		// arrivalBatch): the same draws in the same order, with no
+		// dependency between them for the core to wait on.
+		svcMs := s.svcMs[:min(nRequests-i, arrivalBatch)]
+		for j := range svcMs {
+			svcMs[j] = math.Exp(svcMu+svcSig*svc.Normal()) / perfFactor
 		}
-		start := workers[0]
-		if now > start {
-			start = now
-		}
-		svcMs := math.Exp(svcMu+svcSig*svc.Normal()) / perfFactor
-		finish := start + svcMs
-		workers.replaceMin(finish)
-
-		// Queue depth: drop requests that started by `now`, then count
-		// this one if it has to wait.
-		for s.waitHead < len(s.waiting) && s.waiting[s.waitHead] <= now {
-			s.waitHead++
-		}
-		if start > now {
-			s.waiting = append(s.waiting, start)
-			if q := len(s.waiting) - s.waitHead; q > maxQ {
-				maxQ = q
-			}
-		}
-		if i >= warm {
-			l := finish - now
-			if hist != nil {
-				hist.Add(l)
+		for _, d := range svcMs {
+			if pending > 0 {
+				pending--
 			} else {
-				lat.Add(l)
+				if arrPos == arrLen {
+					arrLen = min(nRequests-i, arrivalBatch)
+					arr.FillArrivals(s.arrGaps[:arrLen], s.arrHeads[:arrLen], meanGapMs, cfg.BurstProb)
+					arrPos = 0
+				}
+				now += s.arrGaps[arrPos]
+				if s.arrHeads[arrPos] {
+					pending = max(int(cfg.BurstLen)-1, 0)
+				}
+				arrPos++
 			}
-			mean.Add(l)
+			start := workers[0]
+			if now > start {
+				start = now
+			}
+			finish := start + d
+			workers.replaceMin(finish)
+
+			if full {
+				// Queue depth: drop requests that started by `now`, then
+				// count this one if it has to wait.
+				for s.waitHead < len(s.waiting) && s.waiting[s.waitHead] <= now {
+					s.waitHead++
+				}
+				if start > now {
+					s.waiting = append(s.waiting, start)
+					maxQ = max(maxQ, len(s.waiting)-s.waitHead)
+				}
+			}
+			if i >= warm {
+				l := finish - now
+				if l > top[0] {
+					top.replaceMin(l)
+				}
+				if full {
+					mean.Add(l)
+				}
+			}
+			i++
 		}
 	}
-
-	r := Result{MeanMs: mean.Mean(), MaxQueue: maxQ}
-	if hist != nil {
-		r.P95Ms = hist.Quantile(0.95)
-		r.P99Ms = hist.Quantile(0.99)
-		r.QoSMs = hist.Quantile(cfg.QoSQuantile)
-		r.Requests = hist.N()
-	} else {
-		r.P95Ms = lat.Quantile(0.95)
-		r.P99Ms = lat.Quantile(0.99)
-		r.QoSMs = lat.Quantile(cfg.QoSQuantile)
-		r.Requests = lat.N()
-	}
-	r.MeetsQoS = r.QoSMs <= cfg.QoSTargetMs
-	return r, nil
+	sort.Float64s(top)
+	return Result{MeanMs: mean.Mean(), MaxQueue: maxQ, Requests: m}, nil
 }
 
 // Simulate runs nRequests through the service at the given arrival rate
@@ -356,7 +445,8 @@ func Simulate(cfg Config, ratePerSec float64, nRequests int, perfFactor float64,
 // target at full performance — the paper's "peak sustainable load" that
 // anchors the X axes of Figs. 1 and 2.
 func PeakLoad(cfg Config, nRequests int, seed uint64) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	var s Simulator
+	if err := s.Reset(cfg); err != nil {
 		return 0, err
 	}
 	// The saturation rate of the worker pool bounds the search.
@@ -364,11 +454,11 @@ func PeakLoad(cfg Config, nRequests int, seed uint64) (float64, error) {
 	lo, hi := satRate*0.05, satRate*1.2
 	for i := 0; i < 24; i++ {
 		mid := (lo + hi) / 2
-		res, err := Simulate(cfg, mid, nRequests, 1.0, seed)
+		tail, err := s.Tail(mid, nRequests, 1.0, seed)
 		if err != nil {
 			return 0, err
 		}
-		if res.MeetsQoS {
+		if cfg.Meets(tail) {
 			lo = mid
 		} else {
 			hi = mid

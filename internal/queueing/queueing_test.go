@@ -3,8 +3,11 @@ package queueing
 import (
 	"fmt"
 	"math"
-	"stretch/internal/stats"
+	"sort"
 	"testing"
+
+	"stretch/internal/rng"
+	"stretch/internal/stats"
 )
 
 func cfg() Config {
@@ -265,6 +268,169 @@ func BenchmarkSimulate(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// referenceSimulate is the unbatched form of Simulate kept as a test
+// oracle: per-request arrival and service draws, every measured latency
+// stored in a stats.Sample or stats.Histogram, a linear scan for the
+// earliest-free worker and a per-arrival queue-depth count.
+func referenceSimulate(cfg Config, rate float64, n int, perf float64, seed uint64) Result {
+	arr := rng.New(seed).Derive(1)
+	svc := rng.New(seed).Derive(2)
+	free := make([]float64, cfg.Workers)
+	var starts []float64 // start times of requests that had to wait
+	lat := stats.NewSample(n)
+	hist := stats.NewTailHistogram()
+	var mean stats.Running
+	now, pending, maxQ, warm := 0.0, 0, 0, n/10
+	for i := 0; i < n; i++ {
+		if pending > 0 {
+			pending--
+		} else {
+			now += arr.Exp(1000 / rate)
+			if arr.Bernoulli(cfg.BurstProb) {
+				pending = max(int(cfg.BurstLen)-1, 0)
+			}
+		}
+		w := 0
+		for j := range free {
+			if free[j] < free[w] {
+				w = j
+			}
+		}
+		start := math.Max(free[w], now)
+		finish := start + svc.LogNormal(cfg.MeanServiceMs, cfg.ServiceCV)/perf
+		free[w] = finish
+		if start > now {
+			starts = append(starts, start)
+		}
+		q := 0
+		for _, st := range starts {
+			if st > now {
+				q++
+			}
+		}
+		maxQ = max(maxQ, q)
+		if i >= warm {
+			lat.Add(finish - now)
+			hist.Add(finish - now)
+			mean.Add(finish - now)
+		}
+	}
+	r := Result{MeanMs: mean.Mean(), MaxQueue: maxQ, Requests: lat.N()}
+	quantile := lat.Quantile
+	if cfg.Estimator == stats.EstimatorHistogram {
+		quantile = hist.Quantile
+	}
+	r.P95Ms, r.P99Ms, r.QoSMs = quantile(0.95), quantile(0.99), quantile(cfg.QoSQuantile)
+	r.MeetsQoS = r.QoSMs <= cfg.QoSTargetMs
+	return r
+}
+
+// TestSimulateMatchesReference holds Simulate's whole Result to the
+// unbatched oracle bit for bit: sizes around and across the draw block,
+// QoS quantiles from the median (the largest top-k tracker) to p99.9, both
+// estimators, sub- and super-unity perf factors.
+func TestSimulateMatchesReference(t *testing.T) {
+	var sim Simulator
+	for _, q := range []float64{0.5, 0.95, 0.999} {
+		for _, est := range []stats.TailEstimator{stats.EstimatorExact, stats.EstimatorHistogram} {
+			c := cfg()
+			c.QoSQuantile, c.Estimator = q, est
+			if err := sim.Reset(c); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{1, 20, arrivalBatch - 1, arrivalBatch, arrivalBatch + 1, 3000} {
+				for _, perf := range []float64{0.7, 1.3} {
+					for seed := uint64(1); seed <= 3; seed++ {
+						want := referenceSimulate(c, 1200, n, perf, seed)
+						got, err := sim.Simulate(1200, n, perf, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Fatalf("q=%v %v n=%d perf=%v seed=%d:\n got %+v\nwant %+v", q, est, n, perf, seed, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTailMatchesSimulate is Tail's bit-exactness gate: across the service
+// catalogue, both estimators, window sizes from below the draw block to
+// several blocks, and utilizations up to saturation, the top-k tail equals
+// Simulate's QoSMs exactly. One Simulator serves every Tail call, so the
+// gate also covers reuse across configs and sizes.
+func TestTailMatchesSimulate(t *testing.T) {
+	seeds := 200
+	var sim Simulator
+	for name, base := range svcConfigs() {
+		for _, est := range []stats.TailEstimator{stats.EstimatorExact, stats.EstimatorHistogram} {
+			c := base
+			c.Estimator = est
+			if err := sim.Reset(c); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{20, 150, 400, 1200} {
+				for _, rho := range []float64{0.2, 0.6, 1.0} {
+					rate := rateAtUtil(c, rho, 1)
+					for seed := uint64(1); seed <= uint64(seeds); seed++ {
+						want, err := Simulate(c, rate, n, 1, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := sim.Tail(rate, n, 1, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want.QoSMs {
+							t.Fatalf("%s/%v n=%d rho=%v seed=%d: Tail %v != Simulate QoSMs %v",
+								name, est, n, rho, seed, got, want.QoSMs)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSimulatorWindow is the fleet-shaped queueing bench: one reused
+// Simulator stepping 400-request windows (the CLI's per-window budget) at
+// ρ ≈ 0.6 round-robin over the modelled services, through Simulate (every
+// summary) and through Tail (the QoS tail the fleet reads).
+func BenchmarkSimulatorWindow(b *testing.B) {
+	const n = 400
+	cfgs := svcConfigs()
+	names := make([]string, 0, len(cfgs))
+	for name := range cfgs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, mode := range []string{"Simulate", "Tail"} {
+		b.Run(mode, func(b *testing.B) {
+			var sim Simulator
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := cfgs[names[i%len(names)]]
+				if err := sim.Reset(c); err != nil {
+					b.Fatal(err)
+				}
+				rate := rateAtUtil(c, 0.6, 1)
+				var err error
+				if mode == "Simulate" {
+					_, err = sim.Simulate(rate, n, 1, uint64(i)+1)
+				} else {
+					_, err = sim.Tail(rate, n, 1, uint64(i)+1)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/req")
 		})
 	}
 }

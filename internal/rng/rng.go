@@ -89,15 +89,36 @@ func (s *Stream) FillArrivals(gaps []float64, heads []bool, mean, p float64) {
 // Geometric returns a geometrically distributed integer >= 1 with the given
 // mean (mean must be >= 1).
 func (s *Stream) Geometric(mean float64) int {
+	return NewGeometric(mean).Draw(s)
+}
+
+// GeometricDist is a geometric distribution over the integers >= 1 with its
+// constant log(1−1/mean) computed once, for hot loops that draw many times
+// at one mean. Draws are bit-identical to Stream.Geometric(mean).
+type GeometricDist struct {
+	one  bool    // mean <= 1: every draw is 1 and consumes no randomness
+	logQ float64 // log(1 − p), p = 1/mean
+}
+
+// NewGeometric builds the distribution of Stream.Geometric(mean).
+func NewGeometric(mean float64) GeometricDist {
 	if mean <= 1 {
-		return 1
+		return GeometricDist{one: true}
 	}
 	p := 1 / mean
+	return GeometricDist{logQ: math.Log(1 - p)}
+}
+
+// Draw returns one variate from s.
+func (d GeometricDist) Draw(s *Stream) int {
+	if d.one {
+		return 1
+	}
 	u := s.Float64()
 	if u <= 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	n := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
+	n := int(math.Ceil(math.Log(1-u) / d.logQ))
 	if n < 1 {
 		n = 1
 	}

@@ -112,6 +112,36 @@ func TestGeometricMeanAndFloor(t *testing.T) {
 	}
 }
 
+// TestGeometricDistMatchesInlineFormula pins the folded constant to the
+// per-draw formula it replaced: same variates, same stream consumption,
+// including the degenerate mean <= 1 (no draw) and a mean so large that
+// log(1−1/mean) rounds to 0.
+func TestGeometricDistMatchesInlineFormula(t *testing.T) {
+	inline := func(s *Stream, mean float64) int {
+		if mean <= 1 {
+			return 1
+		}
+		p := 1 / mean
+		u := s.Float64()
+		if u <= 0 {
+			u = math.SmallestNonzeroFloat64
+		}
+		return max(int(math.Ceil(math.Log(1-u)/math.Log(1-p))), 1)
+	}
+	for _, mean := range []float64{0.5, 1, 1.5, 6, 48.3, 1e17} {
+		a, b := New(9), New(9)
+		d := NewGeometric(mean)
+		for i := 0; i < 1000; i++ {
+			if got, want := d.Draw(a), inline(b, mean); got != want {
+				t.Fatalf("mean %v draw %d: %d, want %d", mean, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("mean %v: stream consumption diverged", mean)
+		}
+	}
+}
+
 func TestLogNormalMoments(t *testing.T) {
 	s := New(8)
 	sum := 0.0

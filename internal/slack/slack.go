@@ -85,32 +85,40 @@ func Curve(cfg queueing.Config, peak float64, loads []float64, nRequests int, re
 // floor resolution if the target is met even at the lowest searched
 // performance.
 func RequiredPerf(cfg queueing.Config, ratePerSec float64, nRequests int, resolution float64, seed uint64) (float64, error) {
-	full, err := queueing.Simulate(cfg, ratePerSec, nRequests, 1.0, seed)
+	sim, err := queueing.NewSimulator(cfg)
 	if err != nil {
 		return 0, err
 	}
-	if !full.MeetsQoS {
+	meets := func(perf float64) (bool, error) {
+		tail, err := sim.Tail(ratePerSec, nRequests, perf, seed)
+		return cfg.Meets(tail), err
+	}
+	ok, err := meets(1.0)
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
 		return 1, nil
 	}
 	lo, hi := resolution, 1.0 // lo may fail QoS, hi always meets it
 	for hi-lo > resolution {
 		mid := (lo + hi) / 2
-		r, err := queueing.Simulate(cfg, ratePerSec, nRequests, mid, seed)
+		ok, err := meets(mid)
 		if err != nil {
 			return 0, err
 		}
-		if r.MeetsQoS {
+		if ok {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
 	// Accept the floor if it, too, meets QoS.
-	r, err := queueing.Simulate(cfg, ratePerSec, nRequests, resolution, seed)
+	ok, err = meets(resolution)
 	if err != nil {
 		return 0, err
 	}
-	if r.MeetsQoS {
+	if ok {
 		return resolution, nil
 	}
 	return hi, nil
@@ -123,9 +131,13 @@ func Tolerates(cfg queueing.Config, peak, loadFrac, slowdown float64, nRequests 
 	if slowdown < 0 || slowdown >= 1 {
 		return false, fmt.Errorf("slack: slowdown %v out of [0,1)", slowdown)
 	}
-	r, err := queueing.Simulate(cfg, peak*loadFrac, nRequests, 1-slowdown, seed)
+	sim, err := queueing.NewSimulator(cfg)
 	if err != nil {
 		return false, err
 	}
-	return r.MeetsQoS, nil
+	tail, err := sim.Tail(peak*loadFrac, nRequests, 1-slowdown, seed)
+	if err != nil {
+		return false, err
+	}
+	return cfg.Meets(tail), nil
 }

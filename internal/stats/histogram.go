@@ -168,6 +168,12 @@ func (h *Histogram) value(i int) float64 {
 	return base + width*(float64(sub)+0.5)
 }
 
+// Round returns the representative value of the bucket x falls in. Bucket
+// indices never decrease as x grows, so Quantile(q) equals Round of the
+// ⌊q(n−1)⌋-th smallest recorded value: a caller that tracks that order
+// statistic can read the histogram's quantile without filling one.
+func (h *Histogram) Round(x float64) float64 { return h.value(h.bucket(x)) }
+
 // Add records x. O(1), allocation-free.
 func (h *Histogram) Add(x float64) {
 	h.counts[h.bucket(x)]++
@@ -245,7 +251,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	// The same closest-rank convention as Sample.Quantile: rank q×(n−1).
+	// The floor of Sample.Quantile's rank q×(n−1): unlike Sample.Quantile
+	// this never interpolates toward rank ⌈q(n−1)⌉, so in the upper tail of
+	// a small sample it reads low (ROADMAP item 1).
 	rank := uint64(q * float64(h.total-1))
 	var cum uint64
 	for i, c := range h.counts {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"stretch/internal/rng"
@@ -132,6 +133,54 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 			t.Fatalf("Quantile(%v) = %v < Quantile at lower q (%v)", q, v, prev)
 		}
 		prev = v
+	}
+}
+
+// TestHistogramQuantileIsRoundedOrderStatistic pins the invariant a top-k
+// tail tracker relies on to reproduce the histogram estimator without a
+// histogram: for every sample size up to 500 and the QoS quantiles in use,
+// Quantile(q) is exactly Round of the ⌊q(n−1)⌋-th smallest value. Values
+// span several octaves, and every tenth repeats an earlier one so ties are
+// covered.
+func TestHistogramQuantileIsRoundedOrderStatistic(t *testing.T) {
+	src := rng.New(17)
+	h := NewTailHistogram()
+	var xs []float64
+	for n := 1; n <= 500; n++ {
+		x := src.LogNormal(8, 1.2)
+		if n%10 == 0 {
+			x = xs[src.Intn(len(xs))]
+		}
+		h.Add(x)
+		xs = append(xs, x)
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, q := range []float64{0.5, 0.95, 0.99, 0.999} {
+			want := h.Round(sorted[int(math.Floor(q*float64(n-1)))])
+			if got := h.Quantile(q); got != want {
+				t.Fatalf("n=%d q=%v: Quantile %v != Round(order statistic) %v", n, q, got, want)
+			}
+		}
+	}
+}
+
+// TestTopQuantileMatchesSample checks that the top TopSlots(n, q) values of
+// a sample are enough to reproduce Sample.Quantile bit for bit.
+func TestTopQuantileMatchesSample(t *testing.T) {
+	src := rng.New(23)
+	for n := 1; n <= 300; n++ {
+		s := NewSample(n)
+		for i := 0; i < n; i++ {
+			s.Add(src.Exp(10))
+		}
+		for _, q := range []float64{0.01, 0.5, 0.95, 0.99, 0.999} {
+			want := s.Quantile(q) // sorts s.xs in place
+			top := s.xs[n-TopSlots(n, q):]
+			if got := TopQuantile(top, n, q); got != want {
+				t.Fatalf("n=%d q=%v: TopQuantile over %d slots = %v, Sample.Quantile = %v",
+					n, q, len(top), got, want)
+			}
+		}
 	}
 }
 

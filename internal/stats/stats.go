@@ -124,14 +124,31 @@ func (s *Sample) Quantile(q float64) float64 {
 	if q >= 1 {
 		return s.xs[len(s.xs)-1]
 	}
-	pos := q * float64(len(s.xs)-1)
+	return TopQuantile(s.xs, len(s.xs), q)
+}
+
+// TopSlots is how many of the largest of n observations the q-quantile
+// (0 <= q <= 1) reads: n − ⌊q(n−1)⌋, the closest lower rank and everything
+// above it. A top-k tracker of this many slots is enough for TopQuantile.
+func TopSlots(n int, q float64) int {
+	return n - int(math.Floor(q*float64(n-1)))
+}
+
+// TopQuantile returns Sample.Quantile's q-quantile (0 <= q <= 1) of n
+// observations, given only the largest len(top) of them in ascending order,
+// where len(top) >= TopSlots(n, q): linear interpolation between the
+// closest ranks ⌊q(n−1)⌋ and ⌈q(n−1)⌉. A fully sorted sample is the case
+// len(top) == n.
+func TopQuantile(top []float64, n int, q float64) float64 {
+	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	base := n - len(top) // rank of top[0]
 	if lo == hi {
-		return s.xs[lo]
+		return top[lo-base]
 	}
 	frac := pos - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+	return top[lo-base]*(1-frac) + top[hi-base]*frac
 }
 
 // Max returns the largest observation (0 if empty).

@@ -157,6 +157,7 @@ const (
 type Generator struct {
 	prof Profile
 	src  *rng.Stream
+	dep  rng.GeometricDist // register dependence distance, mean prof.DepMean
 
 	hotBlocks, coldBlocks int
 	block                 int    // current static block id
@@ -184,6 +185,7 @@ func NewGenerator(p Profile, seed uint64) (*Generator, error) {
 	g := &Generator{
 		prof:       p,
 		src:        rng.New(seed).Derive(0xace),
+		dep:        rng.NewGeometric(p.DepMean),
 		hotBlocks:  atLeast(int(p.HotCodeBytes/blockBytes), 2),
 		coldBlocks: atLeast(int(p.CodeFootprint/blockBytes), 4),
 		hotLines:   atLeast64(p.HotDataBytes/lineBytes, 2),
@@ -407,7 +409,7 @@ func (g *Generator) storeAddr(op *isa.MicroOp) uint64 {
 
 // depDistance draws a register dependence distance in [1, maxDep].
 func (g *Generator) depDistance() int32 {
-	d := int32(g.src.Geometric(g.prof.DepMean))
+	d := int32(g.dep.Draw(g.src))
 	if d > maxDep {
 		d = maxDep
 	}
